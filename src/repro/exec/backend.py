@@ -6,16 +6,17 @@ Three backends share the same constructor signature and the same
 * ``"interp"`` — :class:`repro.exec.interpreter.Interpreter`, the direct
   operational semantics of the paper's language.  Slow, obviously correct;
   this is the reference every other backend is tested against.
-* ``"compiled"`` — :class:`repro.exec.compiled.CompiledExecutor`, the
-  closure-compiled backend.  Roughly an order of magnitude faster on the
-  figure workloads; semantics are enforced to be identical by the
-  differential test suite (``tests/integration/test_backend_equivalence.py``).
+* ``"compiled"`` — :class:`repro.exec.compiled.CompiledExecutor`, which
+  lowers each function once to generated Python source.  Roughly an order
+  of magnitude faster on the figure workloads; semantics are enforced to
+  be identical by the differential test suite
+  (``tests/integration/test_backend_equivalence.py``).
 * ``"batch"`` — :class:`repro.exec.batch.BatchExecutor`, the
   structure-of-arrays backend.  ``run`` delegates to the compiled backend;
   its extra ``run_batch(name, vectors)`` entry point executes many argument
-  vectors lock-step (with an optional NumPy fast path and a
-  trace-speculative superblock tier) for the many-execution verify/fuzz
-  workloads.  Per-lane results are bit-identical to a scalar loop
+  vectors lock-step (with an optional NumPy fast path) for the
+  many-execution verify/fuzz workloads.  Per-lane results are
+  bit-identical to a scalar loop
   (``tests/integration/test_batch_equivalence.py``).
 
 The default is ``"compiled"``.  It can be overridden per call site (every

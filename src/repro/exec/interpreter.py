@@ -234,27 +234,31 @@ class Interpreter:
                     function.name, block.label, len(block.instructions), state
                 )
             state.cycles += self.cost_model.terminator_cost(terminator)
+            successor = self._terminate(function, terminator, frame)
+            if isinstance(successor, int):
+                return successor
+            previous_label = block.label
+            block = successor
 
-            if isinstance(terminator, Ret):
-                result = self._eval_expr(terminator.expr, frame)
-                if isinstance(result, Pointer):
-                    raise InterpreterError(
-                        f"@{function.name} returns a pointer; only word "
-                        "results are supported"
-                    )
-                return result
-            if isinstance(terminator, Jmp):
-                previous_label = block.label
-                block = function.blocks[terminator.target]
-            elif isinstance(terminator, Br):
-                cond = self._eval_value(terminator.cond, frame)
-                if isinstance(cond, Pointer):
-                    raise InterpreterError("branch condition is a pointer")
-                previous_label = block.label
-                target = terminator.if_true if cond != 0 else terminator.if_false
-                block = function.blocks[target]
-            else:
-                raise InterpreterError(f"unknown terminator {terminator}")
+    def _terminate(self, function: Function, terminator, frame: _Frame):
+        """Evaluate a terminator: the successor block, or the returned word."""
+        if isinstance(terminator, Ret):
+            result = self._eval_expr(terminator.expr, frame)
+            if isinstance(result, Pointer):
+                raise InterpreterError(
+                    f"@{function.name} returns a pointer; only word "
+                    "results are supported"
+                )
+            return result
+        if isinstance(terminator, Jmp):
+            return function.blocks[terminator.target]
+        if isinstance(terminator, Br):
+            cond = self._eval_value(terminator.cond, frame)
+            if isinstance(cond, Pointer):
+                raise InterpreterError("branch condition is a pointer")
+            target = terminator.if_true if cond != 0 else terminator.if_false
+            return function.blocks[target]
+        raise InterpreterError(f"unknown terminator {terminator}")
 
     def _execute_phis(
         self,
@@ -316,15 +320,19 @@ class Interpreter:
                 f"{frame.function.name}:{instr.dest}", size
             )
         elif isinstance(instr, Call):
-            callee = self.module.functions.get(instr.callee)
-            if callee is None:
-                raise InterpreterError(f"call to undefined function @{instr.callee}")
-            arg_values = [self._eval_value(a, frame) for a in instr.args]
+            callee, arg_values = self._call_args(instr, frame)
             result = self._call(callee, arg_values, state, depth + 1)
             if instr.dest is not None:
                 frame.env[instr.dest] = result
         else:
             raise InterpreterError(f"unknown instruction {instr}")
+
+    def _call_args(self, instr: Call, frame: _Frame):
+        """Resolve a call's callee and evaluate its arguments."""
+        callee = self.module.functions.get(instr.callee)
+        if callee is None:
+            raise InterpreterError(f"call to undefined function @{instr.callee}")
+        return callee, [self._eval_value(a, frame) for a in instr.args]
 
     # -- evaluation helpers --------------------------------------------------
 

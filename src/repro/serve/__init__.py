@@ -16,7 +16,7 @@ a long-running local service:
   tenant are deduplicated by key and answered without re-execution.
 * :mod:`repro.serve.pool` — the warm worker pool: workers keep parsed
   and repaired modules alive between jobs (pinning the identity-keyed
-  compile/SoA/superblock caches) and are periodically recycled to bound
+  compile/SoA caches) and are periodically recycled to bound
   memory.
 * :mod:`repro.serve.server` — the asyncio front end: bounded intake
   queue with 429 back-pressure, per-tenant token-bucket rate limiting,

@@ -10,9 +10,9 @@ the benchmark's byte-identical differential gate meaningful.
 
 Workers stay warm between jobs through :func:`prepared_modules`: parsed
 and repaired module objects are kept in a bounded LRU memo, which — the
-compile, SoA and superblock caches all being identity-keyed on module
-objects — pins the compiled closures of hot submissions across requests
-instead of rebuilding them per request.
+compile and SoA caches both being identity-keyed on module objects —
+pins the compiled code of hot submissions across requests instead of
+rebuilding it per request.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The warm worker pool: pinned caches, periodic recycling.
 
 Workers are long-lived processes that keep the identity-keyed executor
-caches (compile, SoA, superblock — all keyed on live module objects) and
+caches (compile and SoA — both keyed on live module objects) and
 the :mod:`repro.serve.jobs` warm-module memo populated *across* jobs,
 which is where the serve layer's throughput over per-request process
 startup comes from.  Two memory-bounding disciplines apply:

@@ -1,19 +1,19 @@
 """Differential testing of the batch backend against scalar execution.
 
 Every bundled benchmark — original, repaired, and repaired at -O1 — runs
-as one lane family under the batch backend (both tiers: trace-speculative
-superblocks and plain lock-step) and scalar under the compiled backend and
-the interpreter.  Per-lane results must be bit-identical on every
+as one lane family under the batch backend (lock-step) and scalar under
+the compiled backend and the interpreter.  Per-lane results must be bit-identical on every
 observable: return value, simulated cycles, dynamic step count, access
 violations, array outputs, global state, and the full instruction and
 memory traces.
 
 This is the acceptance gate for ``repro.exec.batch``: any per-lane
-divergence from a scalar loop is a lock-step engine bug.  The guard-abort
-tests additionally pin the speculation protocol itself: a lane whose
-branch condition disagrees with the recorded trace must abort to the
-general compiled backend, increment the ``exec.trace.abort`` counter, and
-still produce the exact scalar results.
+divergence from a scalar loop is a lock-step engine bug.  The divergence
+tests additionally pin the protocol for secret-dependent branches: a lane
+whose branch condition disagrees with the first live lane must leave
+lock-step for the scalar compiled backend, increment the
+``exec.batch.diverge`` counter, and still produce the exact scalar
+results.
 """
 
 import pytest
@@ -54,17 +54,13 @@ class TestBatchMatchesScalar:
             )
             vectors = _lanes(inputs)
             ref = [scalar.run(entry, [_copy(a) for a in v]) for v in vectors]
-            for trace_spec in (True, False):
-                batch = BatchExecutor(
-                    module, strict_memory=False, trace_spec=trace_spec,
+            batch = BatchExecutor(module, strict_memory=False)
+            got = batch.run_batch(entry, vectors)
+            assert len(got) == len(ref)
+            for lane, (r, g) in enumerate(zip(ref, got)):
+                assert _full_observation(g) == _full_observation(r), (
+                    f"{name}/{label}: lane {lane} diverges"
                 )
-                got = batch.run_batch(entry, vectors)
-                assert len(got) == len(ref)
-                for lane, (r, g) in enumerate(zip(ref, got)):
-                    assert _full_observation(g) == _full_observation(r), (
-                        f"{name}/{label}: lane {lane} diverges "
-                        f"(trace_spec={trace_spec})"
-                    )
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_three_way_with_interpreter(self, name):
@@ -91,7 +87,7 @@ class TestBatchMatchesScalar:
 
 #: Secret-dependent branching (the paper's oFdF): lanes whose first words
 #: differ take the early exit, lanes with equal first words fall through —
-#: exactly the divergence shape that forces mid-trace guard failures.
+#: exactly the divergence shape that splits lanes at a branch.
 GUARD_IR = """
 func @ofdf(a: ptr, b: ptr) {
 l0:
@@ -117,14 +113,14 @@ l5:
 
 class TestTraceGuardAbort:
     def _vectors(self):
-        # Lane 0 (the trace leader) takes the equal-equal path; the marked
-        # lanes diverge at the first or second guard respectively.
+        # Lane 0 (the first live lane) takes the equal-equal path; the
+        # marked lanes diverge at the first or second branch respectively.
         return [
-            [[1, 2], [1, 2]],  # leader: both compares equal -> ret 1
-            [[1, 2], [1, 2]],  # duplicate of the leader (dedup path)
-            [[9, 2], [1, 2]],  # diverges at the first guard -> ret 0
-            [[1, 9], [1, 2]],  # diverges at the second guard -> ret 0
-            [[1, 2], [1, 3]],  # diverges at the second guard -> ret 0
+            [[1, 2], [1, 2]],  # lane 0: both compares equal -> ret 1
+            [[1, 2], [1, 2]],  # duplicate of lane 0 (dedup path)
+            [[9, 2], [1, 2]],  # diverges at the first branch -> ret 0
+            [[1, 9], [1, 2]],  # diverges at the second branch -> ret 0
+            [[1, 2], [1, 3]],  # diverges at the second branch -> ret 0
         ]
 
     def test_divergent_lanes_abort_to_scalar_with_identical_results(self):
@@ -132,32 +128,19 @@ class TestTraceGuardAbort:
         scalar = make_executor(
             module, backend="compiled", strict_memory=False,
         )
-        batch = BatchExecutor(module, strict_memory=False, trace_spec=True)
+        batch = BatchExecutor(module, strict_memory=False)
         vectors = self._vectors()
         ref = [scalar.run("ofdf", [_copy(a) for a in v]) for v in vectors]
         assert [r.value for r in ref] == [1, 1, 0, 0, 0]
         got = batch.run_batch("ofdf", vectors)
         for lane, (r, g) in enumerate(zip(ref, got)):
             assert _full_observation(g) == _full_observation(r), (
-                f"lane {lane} diverges after trace abort"
+                f"lane {lane} diverges after leaving lock-step"
             )
-
-    def test_abort_increments_obs_counter(self):
-        module = parse_module(GUARD_IR)
-        batch = BatchExecutor(module, strict_memory=False, trace_spec=True)
-        configure(enabled=True)
-        try:
-            OBS.counters.pop("exec.trace.abort", None)
-            batch.run_batch("ofdf", self._vectors())
-            # Three unique divergent lanes abort (the duplicate leader lane
-            # is deduplicated, not executed).
-            assert OBS.counters.get("exec.trace.abort") == 3
-        finally:
-            configure(enabled=False)
 
     def test_lockstep_tier_counts_divergence(self):
         module = parse_module(GUARD_IR)
-        batch = BatchExecutor(module, strict_memory=False, trace_spec=False)
+        batch = BatchExecutor(module, strict_memory=False)
         scalar = make_executor(
             module, backend="compiled", strict_memory=False,
         )

@@ -4,16 +4,16 @@ The end-to-end guarantee (per-lane results bit-identical to a scalar
 loop over all benchmarks) lives in
 ``tests/integration/test_batch_equivalence.py``; this file pins the parts
 of the engine a differential sweep cannot see — environment knobs, the
-deduplication and chunking bookkeeping, the fallback/abort counters, the
-superblock cache, and backend selection.
+deduplication and chunking bookkeeping, the fallback/abort counters, and
+backend selection.
 """
 
 import pytest
 
+from repro.exec import batch as batch_module
 from repro.exec import (
     BATCH_SIZE_ENV_VAR,
     DEFAULT_BATCH_SIZE,
-    TRACE_SPEC_ENV_VAR,
     BatchExecutor,
     CompiledExecutor,
     make_executor,
@@ -21,7 +21,7 @@ from repro.exec import (
     run_many,
 )
 from repro.exec.backend import BACKEND_ENV_VAR
-from repro.exec.batch import NUMPY_ENV_VAR, clear_batch_caches, trace_cache_stats
+from repro.exec.batch import NUMPY_ENV_VAR
 from repro.ir import parse_module
 from repro.obs import OBS, configure
 
@@ -63,26 +63,22 @@ def _observe(result):
 class TestKnobs:
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv(BATCH_SIZE_ENV_VAR, raising=False)
-        monkeypatch.delenv(TRACE_SPEC_ENV_VAR, raising=False)
         executor = BatchExecutor(parse_module(SUM_IR))
         assert executor.batch_size == DEFAULT_BATCH_SIZE
-        assert executor.trace_spec is True
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "32")
-        monkeypatch.setenv(TRACE_SPEC_ENV_VAR, "0")
         executor = BatchExecutor(parse_module(SUM_IR))
         assert executor.batch_size == 32
-        assert executor.trace_spec is False
 
     def test_constructor_beats_env(self, monkeypatch):
         monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "32")
-        monkeypatch.setenv(TRACE_SPEC_ENV_VAR, "0")
+        monkeypatch.setenv(NUMPY_ENV_VAR, "0")
         executor = BatchExecutor(
-            parse_module(SUM_IR), batch_size=4, trace_spec=True,
+            parse_module(SUM_IR), batch_size=4, use_numpy=True,
         )
         assert executor.batch_size == 4
-        assert executor.trace_spec is True
+        assert executor.np is not None or batch_module._np is None
 
     def test_bad_batch_size_rejected(self, monkeypatch):
         monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "zero")
@@ -90,6 +86,23 @@ class TestKnobs:
             BatchExecutor(parse_module(SUM_IR))
         monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "-3")
         with pytest.raises(ValueError, match=BATCH_SIZE_ENV_VAR):
+            BatchExecutor(parse_module(SUM_IR))
+
+    @pytest.mark.parametrize("raw", ["", "1", "on", "YES", "true"])
+    def test_numpy_knob_on_spellings(self, monkeypatch, raw):
+        monkeypatch.setenv(NUMPY_ENV_VAR, raw)
+        executor = BatchExecutor(parse_module(SUM_IR))
+        assert executor.np is batch_module._np
+
+    @pytest.mark.parametrize("raw", ["0", "off", "No", "false"])
+    def test_numpy_knob_off_spellings(self, monkeypatch, raw):
+        monkeypatch.setenv(NUMPY_ENV_VAR, raw)
+        assert BatchExecutor(parse_module(SUM_IR)).np is None
+
+    @pytest.mark.parametrize("raw", ["junk", "2", "enable"])
+    def test_bad_numpy_knob_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv(NUMPY_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=NUMPY_ENV_VAR):
             BatchExecutor(parse_module(SUM_IR))
 
     def test_numpy_knob_still_exact(self, monkeypatch):
@@ -220,22 +233,6 @@ class TestErrorParity:
             batch.run_batch("sum", vectors)
         assert type(got.value) is type(ref.value)
         assert str(got.value) == str(ref.value)
-
-
-class TestTraceProgramCache:
-    def test_superblock_is_cached_per_module_and_sequence(self):
-        clear_batch_caches()
-        module = parse_module(SUM_IR)
-        executor = BatchExecutor(module, batch_size=4, trace_spec=True)
-        vectors = _sum_vectors(count=12)
-        executor.run_batch("sum", vectors)
-        stats = trace_cache_stats()
-        # Same block sequence in every chunk: one build, then hits.
-        assert stats["misses"] == 1
-        assert stats["hits"] == 2
-        assert stats["entries"] == 1
-        clear_batch_caches()
-        assert trace_cache_stats()["entries"] == 0
 
 
 class TestBackendSelection:

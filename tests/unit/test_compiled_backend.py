@@ -3,10 +3,14 @@
 Most tests here run the same program under both backends and require not
 just the same results but the same *failures* — exception type and message
 — because downstream tooling (the verifiers, the CLI) matches on them.
+``run_both`` and ``error_both`` check every case under each option set the
+compiled backend generates different code for: no trace, trace recording,
+and cache-hierarchy simulation.
 """
 
 import pytest
 
+from repro.cache import CacheHierarchy
 from repro.exec import (
     CompiledExecutor,
     Interpreter,
@@ -19,35 +23,59 @@ from repro.exec import (
 from repro.exec.backend import BACKEND_ENV_VAR
 from repro.ir import parse_module
 
+#: The option sets that select different generated code.
+OPTION_SETS = ("no-trace", "trace", "cache")
+
+
+def _options(option_set: str, kwargs: dict) -> dict:
+    """Executor options for one set; a fresh cache per executor, so both
+    backends start from the same cold hierarchy."""
+    options = dict(kwargs)
+    options["record_trace"] = option_set == "trace"
+    if option_set == "cache":
+        options["cache"] = CacheHierarchy()
+    return options
+
 
 def run(text: str, name: str, args, **kwargs):
     return CompiledExecutor(parse_module(text), **kwargs).run(name, args)
 
 
 def run_both(text: str, name: str, args, **kwargs):
-    """Run under both backends; assert identical observations; return the
-    compiled result."""
+    """Run under both backends in every option set; assert identical
+    observations; return the compiled result of the last set."""
     module = parse_module(text)
-    ref = Interpreter(module, **kwargs).run(name, list(args))
-    got = CompiledExecutor(module, **kwargs).run(name, list(args))
-    assert got.value == ref.value
-    assert got.cycles == ref.cycles
-    assert got.steps == ref.steps
-    assert got.arrays == ref.arrays
-    assert got.global_state == ref.global_state
-    assert [str(v) for v in got.violations] == [str(v) for v in ref.violations]
+    for option_set in OPTION_SETS:
+        ref = Interpreter(module, **_options(option_set, kwargs)).run(
+            name, list(args))
+        got = CompiledExecutor(module, **_options(option_set, kwargs)).run(
+            name, list(args))
+        assert got.value == ref.value, option_set
+        assert got.cycles == ref.cycles, option_set
+        assert got.steps == ref.steps, option_set
+        assert got.arrays == ref.arrays, option_set
+        assert got.global_state == ref.global_state, option_set
+        assert [str(v) for v in got.violations] == [
+            str(v) for v in ref.violations], option_set
+        if ref.trace is not None:
+            assert got.trace.instructions == ref.trace.instructions
+            assert got.trace.memory == ref.trace.memory
     return got
 
 
 def error_both(text: str, name: str, args, **kwargs):
-    """Both backends must raise the same exception type and message."""
+    """Both backends must raise the same exception type and message, in
+    every option set."""
     module = parse_module(text)
-    with pytest.raises(Exception) as ref_info:
-        Interpreter(module, **kwargs).run(name, list(args))
-    with pytest.raises(Exception) as got_info:
-        CompiledExecutor(module, **kwargs).run(name, list(args))
-    assert type(got_info.value) is type(ref_info.value)
-    assert str(got_info.value) == str(ref_info.value)
+    for option_set in OPTION_SETS:
+        with pytest.raises(Exception) as ref_info:
+            Interpreter(module, **_options(option_set, kwargs)).run(
+                name, list(args))
+        with pytest.raises(Exception) as got_info:
+            CompiledExecutor(module, **_options(option_set, kwargs)).run(
+                name, list(args))
+        assert type(got_info.value) is type(ref_info.value), option_set
+        assert str(got_info.value) == str(ref_info.value), option_set
     return got_info
 
 
@@ -292,6 +320,227 @@ class TestErrorParity:
         module = parse_module("func @f() { entry: ret 0 }")
         with pytest.raises(KeyError):
             CompiledExecutor(module).run("nope", [])
+
+
+#: A helper that writes a global, so every case below has a call in the
+#: failing block: with tracing on, the block records its sites in runs
+#: split at the call, and the error must still be the interpreter's.
+HELPER = """
+global @g[2]
+func @helper(v: int) {
+entry:
+  store v, g[0]
+  ret v
+}
+"""
+
+
+class TestErrorParityInCallBlocks:
+    def test_undefined_call_argument(self):
+        error_both(HELPER + """
+        func @f(c: int) {
+        entry:
+          br c, def, use
+        def:
+          u = mov 1
+          jmp use
+        use:
+          x = call @helper(u)
+          ret x
+        }
+        """, "f", [0])
+
+    def test_pointer_arithmetic_after_call(self):
+        error_both(HELPER + """
+        func @f(a: ptr) {
+        entry:
+          x = call @helper(1)
+          y = mov a + x
+          ret y
+        }
+        """, "f", [[1]])
+
+    def test_store_pointer_after_call(self):
+        error_both(HELPER + """
+        func @f(a: ptr, b: ptr) {
+        entry:
+          x = call @helper(2)
+          store b, a[0]
+          ret x
+        }
+        """, "f", [[1], [2]])
+
+    def test_alloc_with_pointer_size(self):
+        error_both(HELPER + """
+        func @f(a: ptr) {
+        entry:
+          x = call @helper(3)
+          buf = alloc a
+          ret x
+        }
+        """, "f", [[1]])
+
+    def test_constant_condition_ctsel(self):
+        error_both(HELPER + """
+        func @f(c: int) {
+        entry:
+          br c, def, use
+        def:
+          u = mov 1
+          jmp use
+        use:
+          x = call @helper(c)
+          y = ctsel 1, u, x
+          ret y
+        }
+        """, "f", [0])
+
+    def test_constant_condition_ctsel_selects_defined_arm(self):
+        result = run_both(HELPER + """
+        func @f(c: int) {
+        entry:
+          br c, def, use
+        def:
+          u = mov 1
+          jmp use
+        use:
+          x = call @helper(c)
+          y = ctsel 0, u, x
+          ret y
+        }
+        """, "f", [0])
+        assert result.value == 0
+
+    def test_callee_error_passes_through(self):
+        info = error_both("""
+        func @inner(a: ptr) { entry: x = mov a * 2 ret x }
+        func @f(a: ptr) {
+        entry:
+          x = call @inner(a)
+          ret x
+        }
+        """, "f", [[1]])
+        assert "'*' applied to a pointer" in str(info.value)
+
+    def test_callee_memory_violation_passes_through(self):
+        info = error_both(HELPER + """
+        func @inner(a: ptr) { entry: x = load a[3] ret x }
+        func @f(a: ptr) {
+        entry:
+          y = call @helper(1)
+          x = call @inner(a)
+          ret x
+        }
+        """, "f", [[1]])
+        assert isinstance(info.value, MemorySafetyViolation)
+
+    def test_call_to_undefined_function(self):
+        error_both("""
+        func @f(v: int) {
+        entry:
+          x = call @missing(v)
+          ret x
+        }
+        """, "f", [1])
+
+
+class TestErrorParityPerShape:
+    def test_undefined_phi_incoming(self):
+        error_both("""
+        func @f(c: int) {
+        entry:
+          br c, def, join
+        def:
+          u = mov 1
+          jmp join
+        join:
+          x = phi [u, entry], [u, def]
+          ret x
+        }
+        """, "f", [0])
+
+    def test_entry_block_with_phis(self):
+        error_both("""
+        func @f(c: int) {
+        entry:
+          x = phi [1, entry]
+          ret x
+        }
+        """, "f", [0])
+
+    def test_division_of_pointer_by_zero(self):
+        error_both("func @f(a: ptr) { entry: x = mov a / 0 ret x }",
+                   "f", [[1]])
+
+    def test_modulo_of_undefined_by_zero(self):
+        error_both("""
+        func @f(c: int) {
+        entry:
+          br c, def, use
+        def:
+          u = mov 1
+          jmp use
+        use:
+          x = mov u % 0
+          ret x
+        }
+        """, "f", [0])
+
+    def test_logical_not_of_pointer(self):
+        error_both("func @f(a: ptr) { entry: x = mov !a ret x }",
+                   "f", [[1]])
+
+    def test_undefined_equality_operand(self):
+        error_both("""
+        func @f(c: int) {
+        entry:
+          br c, def, use
+        def:
+          u = mov 1
+          jmp use
+        use:
+          x = mov c == u
+          ret x
+        }
+        """, "f", [0])
+
+    def test_ctsel_condition_pointer(self):
+        error_both("func @f(a: ptr) { entry: x = ctsel a, 1, 2 ret x }",
+                   "f", [[1]])
+
+    def test_ctsel_undefined_arm(self):
+        error_both("""
+        func @f(c: int) {
+        entry:
+          br c, def, use
+        def:
+          u = mov 1
+          jmp use
+        use:
+          x = ctsel 1, u, c
+          ret x
+        }
+        """, "f", [0])
+
+    def test_load_through_word(self):
+        error_both("func @f(a: int) { entry: x = load a[0] ret x }",
+                   "f", [3])
+
+    def test_load_index_pointer(self):
+        error_both("func @f(a: ptr) { entry: x = load a[a] ret x }",
+                   "f", [[1]])
+
+    def test_name_never_defined(self):
+        error_both("func @f() { entry: x = mov nowhere + 1 ret x }", "f", [])
+
+    def test_negative_alloc_size(self):
+        error_both("""
+        func @f(n: int) {
+        entry:
+          buf = alloc n
+          ret 0
+        }
+        """, "f", [-2])
 
 
 class TestBackendSelection:

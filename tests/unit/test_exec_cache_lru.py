@@ -1,12 +1,12 @@
 """LRU discipline of the identity-keyed executor caches.
 
 A long-running ``lif serve`` process compiles thousands of distinct
-modules; before this bound the compile/SoA/superblock caches grew without
+modules; before this bound the compile and SoA caches grew without
 limit (weakref eviction only fires when a module is garbage-collected,
 and a warm server deliberately keeps modules alive).  These tests pin the
 ``REPRO_EXEC_CACHE_SIZE`` bound: least-recently-used entries are evicted,
 a hit refreshes recency, and every eviction is counted in the stats the
-serve layer reports.
+serve layer reports, and a bad bound is refused rather than replaced.
 """
 
 import pytest
@@ -22,7 +22,6 @@ from repro.exec import (
     get_compiled,
     make_executor,
     run_many,
-    trace_cache_stats,
 )
 from repro.exec.costs import DEFAULT_COST_MODEL
 from repro.ir import parse_module
@@ -76,9 +75,19 @@ def test_limit_env_knob(monkeypatch):
     monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, "7")
     assert exec_cache_limit() == 7
     monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, "junk")
-    assert exec_cache_limit() == 128
+    with pytest.raises(ValueError, match=EXEC_CACHE_SIZE_ENV_VAR):
+        exec_cache_limit()
     monkeypatch.delenv(EXEC_CACHE_SIZE_ENV_VAR)
     assert exec_cache_limit() == 128
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "1.5"])
+def test_limit_env_knob_rejects_non_positive(monkeypatch, raw):
+    monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, raw)
+    with pytest.raises(ValueError, match=EXEC_CACHE_SIZE_ENV_VAR):
+        exec_cache_limit()
+    with pytest.raises(ValueError, match=EXEC_CACHE_SIZE_ENV_VAR):
+        _compile(parse_module(ADD_IR))
 
 
 def test_compile_cache_evicts_least_recently_used(monkeypatch):
@@ -123,12 +132,11 @@ def test_batch_caches_are_bounded(monkeypatch):
     stats = batch_cache_stats()
     assert stats["entries"] <= 2
     assert stats["evictions"] >= 2
-    assert trace_cache_stats()["entries"] <= 2
 
 
 def test_executor_cache_stats_shape():
     stats = executor_cache_stats()
-    assert set(stats) == {"limit", "compile", "batch", "trace"}
-    for name in ("compile", "batch", "trace"):
+    assert set(stats) == {"limit", "compile", "batch"}
+    for name in ("compile", "batch"):
         assert set(stats[name]) == {"hits", "misses", "evictions", "entries"}
     assert stats["limit"] == exec_cache_limit()
