@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.artifacts.build import BuiltArtifacts
+from repro.knobs import knob
 from repro.obs import OBS
 
 _META = "meta.json"
@@ -29,29 +30,18 @@ _META = "meta.json"
 #: sharding; the default 2 gives 256 shards).  Shared with the serve
 #: result cache — concurrent tenants spread across shard directories
 #: instead of contending on one directory's entry list.
-SHARD_ENV_VAR = "REPRO_CACHE_SHARDS"
 DEFAULT_SHARD_WIDTH = 2
-
-
-def shard_width_from_env() -> int:
-    raw = os.environ.get(SHARD_ENV_VAR, "").strip()
-    try:
-        width = int(raw) if raw else DEFAULT_SHARD_WIDTH
-    except ValueError:
-        return DEFAULT_SHARD_WIDTH
-    return min(max(width, 0), 8)
 
 
 def default_store() -> "Optional[ArtifactStore]":
     """The store selected by the environment.
 
     ``REPRO_CACHE=0`` disables caching entirely; ``REPRO_CACHE_DIR``
-    relocates the root (default ``.repro-cache`` in the working directory);
-    ``REPRO_CACHE_SHARDS`` controls the key-prefix shard width.
+    relocates the root (default ``.repro-cache`` in the working directory).
     """
-    if os.environ.get("REPRO_CACHE", "1") == "0":
+    if not knob("REPRO_CACHE"):
         return None
-    return ArtifactStore(os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
+    return ArtifactStore(knob("REPRO_CACHE_DIR"))
 
 
 class BlobStore:
@@ -61,15 +51,13 @@ class BlobStore:
     sha256 of its bytes, so storing the same rendered program twice is a
     no-op and "have I seen this sample" is one ``is_file`` check.  Writes
     go through a temp file + ``os.replace`` like the artifact entries, so
-    concurrent shard processes race benignly.  Sharding reuses the
-    ``REPRO_CACHE_SHARDS`` width of :class:`ArtifactStore`.
+    concurrent shard processes race benignly.  Sharding uses the
+    :class:`ArtifactStore` width.
     """
 
-    def __init__(self, root, shard_width: Optional[int] = None) -> None:
+    def __init__(self, root, shard_width: int = DEFAULT_SHARD_WIDTH) -> None:
         self.root = Path(root)
-        self.shard_width = (
-            shard_width_from_env() if shard_width is None else shard_width
-        )
+        self.shard_width = shard_width
 
     @staticmethod
     def key_of(data: bytes) -> str:
@@ -130,11 +118,9 @@ class BlobStore:
 class ArtifactStore:
     """Content-addressed artifact directory, sharded by key prefix."""
 
-    def __init__(self, root, shard_width: Optional[int] = None) -> None:
+    def __init__(self, root, shard_width: int = DEFAULT_SHARD_WIDTH) -> None:
         self.root = Path(root)
-        self.shard_width = (
-            shard_width_from_env() if shard_width is None else shard_width
-        )
+        self.shard_width = shard_width
 
     def shard_of(self, key: str) -> str:
         return key[: self.shard_width] if self.shard_width else "_"

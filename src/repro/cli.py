@@ -402,13 +402,13 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     import os
 
-    from repro.obs import TRACE_ENV_VAR, configure
+    from repro.obs import configure
     from repro.obs.report import run_report
 
     # The report is itself an observability consumer: turn the collector on
     # for this process (and, via the environment, for any pool workers it
     # forks) so cache and dispatch metrics show up in the summary.
-    os.environ.setdefault(TRACE_ENV_VAR, "1")
+    os.environ.setdefault("REPRO_TRACE", "1")
     configure()
 
     return run_report(
@@ -511,13 +511,14 @@ def _run_sharded(args: argparse.Namespace) -> int:
     """``lif serve --shards N``: spawn N shard processes, run the router."""
     import os
 
+    from repro.knobs import knob
     from repro.serve.router import (
         RouterConfig,
         ShardSupervisor,
         run_router,
     )
 
-    journal_dir = args.journal
+    journal_dir = args.journal or knob("REPRO_SERVE_JOURNAL")
     if journal_dir:
         os.makedirs(journal_dir, exist_ok=True)
     supervisor = ShardSupervisor(

@@ -1,7 +1,6 @@
 """Execution substrate: memory model, interpreter, compiled backend, costs."""
 
 from repro.exec.backend import (
-    BACKEND_ENV_VAR,
     BACKENDS,
     default_backend,
     make_executor,
@@ -9,14 +8,11 @@ from repro.exec.backend import (
     run_many,
 )
 from repro.exec.batch import (
-    BATCH_SIZE_ENV_VAR,
-    DEFAULT_BATCH_SIZE,
     BatchExecutor,
     batch_cache_stats,
     clear_batch_caches,
 )
 from repro.exec.compiled import (
-    EXEC_CACHE_SIZE_ENV_VAR,
     CompiledExecutor,
     CompiledModule,
     clear_compile_cache,
@@ -70,14 +66,14 @@ def executor_cache_stats() -> dict:
 
 
 __all__ = [
-    "AccessViolation", "BACKENDS", "BACKEND_ENV_VAR", "BATCH_SIZE_ENV_VAR",
+    "AccessViolation", "BACKENDS",
     "BatchExecutor", "BranchPredictor", "CompiledExecutor", "CompiledModule",
-    "CostModel", "DEFAULT_BATCH_SIZE", "DEFAULT_COST_MODEL",
+    "CostModel", "DEFAULT_COST_MODEL",
     "ExecutionResult", "InstructionSite", "Interpreter", "InterpreterError",
     "Memory", "MemoryAccess", "MemorySafetyViolation", "PipelineConfig",
     "PipelineModel", "PipelineReport", "Pointer", "Region",
     "StepLimitExceeded", "Trace",
-    "EXEC_CACHE_SIZE_ENV_VAR", "batch_cache_stats", "clear_batch_caches",
+    "batch_cache_stats", "clear_batch_caches",
     "clear_compile_cache", "compile_cache_stats", "compile_ir_module",
     "default_backend", "exec_cache_limit", "executor_cache_stats",
     "get_compiled", "make_executor", "resolve_backend",

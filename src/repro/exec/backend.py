@@ -28,12 +28,12 @@ experiment on the reference semantics without touching code::
 
 An unknown ``$REPRO_BACKEND`` value is reported lazily — at the first
 ``make_executor`` call — so importing the package never fails, but every
-execution path does, with the full list of valid names.
+execution path does, with the full list of valid names
+(:mod:`repro.knobs`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 from repro.exec.batch import BatchExecutor
@@ -46,28 +46,16 @@ from repro.exec.interpreter import (
     Interpreter,
 )
 from repro.ir.module import Module
+from repro.knobs import KNOBS, knob
 from repro.obs import OBS
 
 #: Recognised backend names.
-BACKENDS = ("interp", "compiled", "batch")
-
-#: Environment variable consulted when no explicit backend is requested.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-_DEFAULT_BACKEND = "compiled"
+BACKENDS = KNOBS["REPRO_BACKEND"].choices
 
 
 def default_backend() -> str:
     """The backend used when none is requested explicitly."""
-    name = os.environ.get(BACKEND_ENV_VAR, "").strip()
-    if name:
-        if name not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {name!r} in ${BACKEND_ENV_VAR} "
-                f"(expected one of {', '.join(BACKENDS)})"
-            )
-        return name
-    return _DEFAULT_BACKEND
+    return knob("REPRO_BACKEND")
 
 
 def resolve_backend(backend: Optional[str]) -> str:

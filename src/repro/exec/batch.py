@@ -45,7 +45,6 @@ input class collapses to one execution per chunk this way.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -55,7 +54,6 @@ from repro.exec.compiled import (
     _UNDEF,
     CompiledExecutor,
     _ExecState,
-    env_positive_int,
     exec_cache_limit,
 )
 from repro.exec.costs import DEFAULT_COST_MODEL, CostModel
@@ -83,19 +81,13 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.ops import WORD_BITS, WORD_BYTES, eval_binop, eval_unop, wrap
 from repro.ir.values import Const, Var
+from repro.knobs import knob
 from repro.obs import OBS
 
 try:  # NumPy is optional: the list-vectorized engine is the reference.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via use_numpy=False
     _np = None
-
-#: Environment knobs (documented in EXPERIMENTS.md).
-BATCH_SIZE_ENV_VAR = "REPRO_BATCH_SIZE"
-NUMPY_ENV_VAR = "REPRO_BATCH_NUMPY"
-
-#: Lanes dispatched per lock-step chunk when ``REPRO_BATCH_SIZE`` is unset.
-DEFAULT_BATCH_SIZE = 256
 
 _MASK = (1 << WORD_BITS) - 1
 
@@ -123,25 +115,6 @@ _UN = {
     "-": lambda v: wrap(-v),
     "~": lambda v: wrap(~v),
 }
-
-
-_FLAG_ON = ("1", "yes", "true", "on")
-_FLAG_OFF = ("0", "no", "false", "off")
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    """An on/off knob from the environment; an unknown spelling raises."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    if raw.lower() in _FLAG_ON:
-        return True
-    if raw.lower() in _FLAG_OFF:
-        return False
-    raise ValueError(
-        f"${name} must be one of {', '.join(_FLAG_ON + _FLAG_OFF)}, "
-        f"got {raw!r}"
-    )
 
 
 class _Fallback(Exception):
@@ -1180,13 +1153,13 @@ class BatchExecutor:
         self.max_call_depth = max_call_depth
         self.batch_size = (
             batch_size if batch_size is not None
-            else env_positive_int(BATCH_SIZE_ENV_VAR, DEFAULT_BATCH_SIZE)
+            else knob("REPRO_BATCH_SIZE")
         )
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         numpy_wanted = (
             use_numpy if use_numpy is not None
-            else _env_flag(NUMPY_ENV_VAR, True)
+            else knob("REPRO_BATCH_NUMPY")
         )
         self.np = _np if (numpy_wanted and _np is not None) else None
         self._scalar = CompiledExecutor(

@@ -57,7 +57,6 @@ therefore never sees stale code.
 from __future__ import annotations
 
 import functools
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -94,6 +93,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.ops import WORD_BITS, WORD_BYTES, eval_binop, eval_unop, wrap
 from repro.ir.values import Const, Var
+from repro.knobs import knob
 from repro.obs import OBS
 
 #: Sentinel stored in register slots that have not been written yet.
@@ -582,29 +582,11 @@ def compile_ir_module(
 
 # -- module-level compile cache ----------------------------------------------
 
-#: Bound (live module entries) shared by every identity-keyed executor
-#: cache — compile and SoA.  Long-running servers pin modules across jobs,
-#: so without a bound these grow with distinct submissions.
-EXEC_CACHE_SIZE_ENV_VAR = "REPRO_EXEC_CACHE_SIZE"
-DEFAULT_EXEC_CACHE_SIZE = 128
-
-
-def env_positive_int(name: str, default: int) -> int:
-    """A positive integer knob from the environment; a bad value raises."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ValueError(f"${name} must be a positive integer, got {raw!r}")
-    return value
-
-
 def exec_cache_limit() -> int:
-    return env_positive_int(EXEC_CACHE_SIZE_ENV_VAR, DEFAULT_EXEC_CACHE_SIZE)
+    """Bound (live module entries) shared by every identity-keyed executor
+    cache — compile and SoA.  Long-running servers pin modules across jobs,
+    so without a bound these grow with distinct submissions."""
+    return knob("REPRO_EXEC_CACHE_SIZE")
 
 
 _CACHE_LOCK = threading.Lock()

@@ -64,14 +64,10 @@ from repro.fuzz.generators import FuzzConfig, generate_program, random_ir_module
 from repro.fuzz.mutate import mutate_ir, mutate_spec
 from repro.fuzz.oracles import ORACLES
 from repro.fuzz.spec import render_program
+from repro.knobs import knob
 from repro.obs import OBS
 
-#: Samples per round — the determinism barrier (env-tunable).
-ROUND_ENV_VAR = "REPRO_FUZZ_ROUND"
-DEFAULT_ROUND_SIZE = 64
-
 #: Maximum corpus entries kept eligible as mutation parents.
-CORPUS_MAX_ENV_VAR = "REPRO_FUZZ_CORPUS_MAX"
 DEFAULT_CORPUS_MAX = 1024
 
 #: Probability that a sample mutates a corpus parent (vs fresh), once the
@@ -87,24 +83,6 @@ _DONOR_RATE = 0.35
 _PARENT_POOL = 16
 
 _CHECKPOINT_VERSION = 1
-
-
-def round_size_from_env() -> int:
-    raw = os.environ.get(ROUND_ENV_VAR, "").strip()
-    try:
-        value = int(raw) if raw else DEFAULT_ROUND_SIZE
-    except ValueError:
-        return DEFAULT_ROUND_SIZE
-    return max(1, value)
-
-
-def corpus_max_from_env() -> int:
-    raw = os.environ.get(CORPUS_MAX_ENV_VAR, "").strip()
-    try:
-        value = int(raw) if raw else DEFAULT_CORPUS_MAX
-    except ValueError:
-        return DEFAULT_CORPUS_MAX
-    return max(1, value)
 
 
 class CampaignAborted(RuntimeError):
@@ -133,10 +111,10 @@ class CampaignOptions:
     max_minimize_checks: int = 1500
 
     def resolved_round(self) -> int:
-        return self.round_size or round_size_from_env()
+        return self.round_size or knob("REPRO_FUZZ_ROUND")
 
     def resolved_corpus_max(self) -> int:
-        return self.corpus_max or corpus_max_from_env()
+        return self.corpus_max or DEFAULT_CORPUS_MAX
 
     def identity(self) -> dict:
         """The checkpoint-compatibility record (plus ``shards``, which

@@ -19,14 +19,13 @@ re-materialize identically in any process, which is what lets campaign
 checkpoints store derivation *recipes* instead of program text.  Validity
 is by construction-then-check: a candidate that fails to compile (spec) or
 validate (IR) is retried with the next perturbation, and after
-``REPRO_FUZZ_MUTATE_RETRIES`` (default 8) failed attempts the mutator
-falls back to a fresh seeded sample so campaigns never stall.
+:data:`MUTATE_RETRIES` failed attempts the mutator falls back to a fresh
+seeded sample so campaigns never stall.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
 import re
 from typing import Optional
@@ -62,22 +61,12 @@ from repro.fuzz.spec import (
 from repro.obs import OBS
 
 #: Bounded validity retries per mutation before the fresh-sample fallback.
-MUTATE_RETRIES_ENV_VAR = "REPRO_FUZZ_MUTATE_RETRIES"
-DEFAULT_MUTATE_RETRIES = 8
+MUTATE_RETRIES = 8
 
 _BINOP_SWAPS = (
     "+", "-", "*", "&", "|", "^", "<<", ">>",
     "==", "!=", "<", "<=", ">", ">=", "/", "%",
 )
-
-
-def mutate_retries() -> int:
-    raw = os.environ.get(MUTATE_RETRIES_ENV_VAR, "").strip()
-    try:
-        value = int(raw) if raw else DEFAULT_MUTATE_RETRIES
-    except ValueError:
-        return DEFAULT_MUTATE_RETRIES
-    return max(1, value)
 
 
 # -- MiniC spec mutation -----------------------------------------------------
@@ -406,7 +395,7 @@ def mutate_spec(
     """One valid MiniC mutation of ``parent`` — pure in ``(parent, seed)``.
 
     Candidates that fail to compile are retried with fresh perturbations;
-    after :func:`mutate_retries` failures the result is a fresh seeded
+    after :data:`MUTATE_RETRIES` failures the result is a fresh seeded
     program, so the campaign's sample count never stalls on a hard-to-
     mutate parent.
     """
@@ -414,7 +403,7 @@ def mutate_spec(
 
     config = config or FuzzConfig()
     rng = random.Random(seed ^ 0xA11CE)
-    for _ in range(mutate_retries()):
+    for _ in range(MUTATE_RETRIES):
         roll = rng.random()
         if donor is not None and roll < 0.30:
             candidate = _splice(parent, rng, donor)
@@ -507,7 +496,7 @@ def mutate_ir(parent, seed: int):
 
     text = module_to_str(parent)
     rng = random.Random(seed ^ 0x1C0DE)
-    for _ in range(mutate_retries()):
+    for _ in range(MUTATE_RETRIES):
         candidate = None
         roll = rng.random()
         if roll < 0.45:

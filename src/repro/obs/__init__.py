@@ -18,8 +18,6 @@ See ``docs/OBSERVABILITY.md`` for the metric catalogue and event schema.
 
 from repro.obs.collector import (
     OBS,
-    TRACE_ENV_VAR,
-    TRACE_FILE_ENV_VAR,
     Collector,
     configure,
     read_events,
@@ -27,8 +25,6 @@ from repro.obs.collector import (
 
 __all__ = [
     "OBS",
-    "TRACE_ENV_VAR",
-    "TRACE_FILE_ENV_VAR",
     "Collector",
     "configure",
     "read_events",

@@ -36,10 +36,7 @@ import threading
 import time
 from typing import Optional
 
-#: Enables collection when set to anything but ``0``/empty.
-TRACE_ENV_VAR = "REPRO_TRACE"
-#: JSONL event sink path; setting it implies tracing.
-TRACE_FILE_ENV_VAR = "REPRO_TRACE_FILE"
+from repro.knobs import knob
 
 
 class _NullSpan:
@@ -142,12 +139,10 @@ class Collector:
         self._sink = None
 
     @classmethod
-    def from_env(cls, environ=None) -> "Collector":
+    def from_env(cls) -> "Collector":
         """Build a collector from ``REPRO_TRACE``/``REPRO_TRACE_FILE``."""
-        environ = os.environ if environ is None else environ
-        trace_file = environ.get(TRACE_FILE_ENV_VAR) or None
-        enabled = environ.get(TRACE_ENV_VAR, "0") not in ("", "0")
-        return cls(enabled=enabled, trace_file=trace_file)
+        return cls(enabled=knob("REPRO_TRACE"),
+                   trace_file=knob("REPRO_TRACE_FILE"))
 
     # -- recording -----------------------------------------------------------
 

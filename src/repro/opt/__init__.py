@@ -6,7 +6,6 @@ from repro.opt.cse import eliminate_common_subexpressions
 from repro.opt.dce import eliminate_dead_code
 from repro.opt.pipeline import OptReport, optimize, optimize_function
 from repro.opt.sanitize import (
-    SANITIZE_ENV_VAR,
     LeakFingerprint,
     LeakSanitizerError,
     sanitize_enabled,
@@ -15,7 +14,7 @@ from repro.opt.simplify import simplify_algebraic
 from repro.opt.simplifycfg import simplify_cfg
 
 __all__ = [
-    "LeakFingerprint", "LeakSanitizerError", "OptReport", "SANITIZE_ENV_VAR",
+    "LeakFingerprint", "LeakSanitizerError", "OptReport",
     "constant_fold", "eliminate_common_subexpressions",
     "eliminate_dead_code", "fold_expr", "optimize", "optimize_function",
     "propagate_copies", "sanitize_enabled", "simplify_algebraic",

@@ -14,7 +14,6 @@ passed (the artifact builder persists it per benchmark) and mirrored to
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -152,22 +151,17 @@ def optimize_function(
     return fired
 
 
-def _default_validate() -> bool:
-    return os.environ.get("REPRO_OPT_VALIDATE", "1") != "0"
-
-
 def optimize(
     module: Module,
     level: int = 1,
     report: "OptReport | None" = None,
-    validate: "bool | None" = None,
+    validate: bool = True,
     sanitize: "bool | None" = None,
 ) -> Module:
     """Optimise a copy of the module; ``level=0`` is the identity.
 
-    ``validate`` gates the full-module validation of the result: ``None``
-    defers to the ``REPRO_OPT_VALIDATE`` env var (on unless set to ``0``).
-    The bench harness passes ``False`` so hot-loop rebuilds skip it; tests
+    ``validate`` gates the full-module validation of the result.  The
+    bench harness passes ``False`` so hot-loop rebuilds skip it; tests
     keep the default.  ``sanitize`` gates the per-pass leakage sanitizer
     (default: the ``REPRO_OPT_SANITIZE`` env var, off unless set).
     """
@@ -184,6 +178,6 @@ def optimize(
             if report is not None:
                 report.fired[function.name] = fired
                 report.iterations[function.name] = len(fired)
-    if validate if validate is not None else _default_validate():
+    if validate:
         validate_module(result)
     return result

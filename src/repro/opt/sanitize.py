@@ -21,21 +21,18 @@ spot).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.analysis.sensitivity import analyze_function_sensitivity
 from repro.ir.function import Function
 from repro.ir.validate import ValidationError, validate_function
+from repro.knobs import knob
 from repro.obs import OBS
 from repro.statics.diagnostics import Anchor, Diagnostic
 
-SANITIZE_ENV_VAR = "REPRO_OPT_SANITIZE"
-
-
 def sanitize_enabled() -> bool:
     """True when ``REPRO_OPT_SANITIZE`` asks for per-pass leak checks."""
-    return os.environ.get(SANITIZE_ENV_VAR, "0") not in ("0", "")
+    return knob("REPRO_OPT_SANITIZE")
 
 
 class LeakSanitizerError(Exception):

@@ -22,6 +22,9 @@ a long-running local service:
   queue with 429 back-pressure, per-tenant token-bucket rate limiting,
   per-job JSONL event streams built on the ``repro.obs`` sink, and a
   graceful drain that finishes in-flight jobs before exit.
+* :mod:`repro.serve.httpio` — the HTTP/1.1 core the server and the
+  router share: request/response plumbing, the accept loop, the
+  ``lif serve`` main loop and the in-process thread embedding.
 * :mod:`repro.serve.client` — the blocking stdlib client used by ``lif
   submit``, the tests and the throughput benchmark.
 * :mod:`repro.serve.ring` — the consistent-hash ring (SHA-256 virtual

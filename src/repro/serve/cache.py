@@ -5,8 +5,8 @@ and the pipeline code digest), so the cache is a plain write-once layout::
 
     <root>/<shard>/<key>.json        canonical result bytes per job key
 
-where ``shard = key[:width]`` (``REPRO_CACHE_SHARDS`` hex characters,
-default 2 — 256 shards).  Sharding keeps concurrent tenants from
+where ``shard = key[:width]`` (``shard_width`` hex characters, default
+2 — 256 shards).  Sharding keeps concurrent tenants from
 contending on one directory's inode lock and keeps per-directory entry
 counts small; the width is part of the lookup path only, so changing it
 simply starts a fresh namespace.
@@ -24,19 +24,11 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from repro.artifacts.store import SHARD_ENV_VAR, shard_width_from_env
+from repro.artifacts.store import DEFAULT_SHARD_WIDTH
+from repro.knobs import knob
 from repro.obs import OBS
 
-#: Root override for the serve result cache specifically.
-SERVE_CACHE_ENV_VAR = "REPRO_SERVE_CACHE"
-
-__all__ = [
-    "ResultCache",
-    "SERVE_CACHE_ENV_VAR",
-    "SHARD_ENV_VAR",
-    "default_result_cache",
-    "shard_width_from_env",
-]
+__all__ = ["ResultCache", "default_result_cache"]
 
 
 def default_result_cache() -> "Optional[ResultCache]":
@@ -46,22 +38,17 @@ def default_result_cache() -> "Optional[ResultCache]":
     ``serve/`` namespace; ``REPRO_SERVE_CACHE=0`` (or ``REPRO_CACHE=0``)
     disables result caching without touching the artifact store.
     """
-    if os.environ.get("REPRO_CACHE", "1") == "0":
+    if not (knob("REPRO_CACHE") and knob("REPRO_SERVE_CACHE")):
         return None
-    if os.environ.get(SERVE_CACHE_ENV_VAR, "1") == "0":
-        return None
-    root = Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache")) / "serve"
-    return ResultCache(root)
+    return ResultCache(Path(knob("REPRO_CACHE_DIR")) / "serve")
 
 
 class ResultCache:
     """Sharded write-once store of canonical result bytes."""
 
-    def __init__(self, root, shard_width: Optional[int] = None) -> None:
+    def __init__(self, root, shard_width: int = DEFAULT_SHARD_WIDTH) -> None:
         self.root = Path(root)
-        self.shard_width = (
-            shard_width_from_env() if shard_width is None else shard_width
-        )
+        self.shard_width = shard_width
 
     def shard_of(self, key: str) -> str:
         return key[: self.shard_width] if self.shard_width else "_"

@@ -34,8 +34,6 @@ from typing import Optional
 
 from repro.obs import OBS
 
-FAULTS_ENV_VAR = "REPRO_SERVE_FAULTS"
-
 #: Recognised fault modes.
 FAULT_MODES = ("crash", "slow", "drop", "torn")
 
@@ -101,10 +99,6 @@ class FaultPlan:
                     ) from None
             directives[(mode, index)] = arg
         return cls(directives)
-
-    @classmethod
-    def from_env(cls) -> "FaultPlan":
-        return cls.parse(os.environ.get(FAULTS_ENV_VAR))
 
     def take(self, mode: str, index: int) -> "Optional[tuple]":
         """Consume directive ``mode@index``; ``(mode, arg)`` or None.

@@ -1,17 +1,25 @@
-"""Shared asyncio HTTP/1.1 plumbing for the serve front ends.
+"""Shared asyncio HTTP/1.1 core of the serve front ends.
 
 The repair server (:mod:`repro.serve.server`) and the shard router
 (:mod:`repro.serve.router`) speak the same deliberately tiny dialect:
 ``Connection: close``, JSON bodies, explicit ``Content-Length``.  This
-module is the one copy of the reader/writer code, plus the async
-client side the router forwards with.
+module is the one copy of the reader/writer code, the async client side
+the router forwards with, and the service core both run on: the
+:class:`Service` accept loop, :func:`run_service` (the ``lif serve``
+main loop) and :class:`ServiceThread` (the in-process embedding tests
+and benchmarks use).
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Optional
+import signal
+import threading
+import time
+from typing import Callable, Optional
 
+from repro.knobs import knob, knob_values
+from repro.obs import OBS
 from repro.serve.protocol import ProtocolError, encode_json
 
 #: Largest accepted request body (submissions are capped far below this).
@@ -126,3 +134,192 @@ async def fetch(host: str, port: int, method: str, target: str,
                 pass
 
     return await asyncio.wait_for(_exchange(), timeout)
+
+
+def config_from_env(cls, overrides: dict):
+    """A ``cls`` config read from the knobs its ``FIELD_KNOBS`` map
+    (field -> knob) names, then every override that is not None: flags
+    beat the environment."""
+    values = {
+        name: knob(variable) for name, variable in cls.FIELD_KNOBS.items()
+    }
+    values.update(
+        (name, value) for name, value in overrides.items()
+        if value is not None
+    )
+    return cls(**values)
+
+
+class Service:
+    """The accept loop and lifecycle the repair server and router share.
+
+    Each connection carries one request, handed to :meth:`_route`.  A
+    protocol error answers 400; any other exception answers 500 and
+    bumps the :attr:`INTERNAL_ERRORS` counter, so a handler bug never
+    kills the accept loop.  Subclasses implement ``_route``, ``start``
+    (which calls :meth:`listen`), ``drain`` and ``wait_closed``.
+    """
+
+    INTERNAL_ERRORS = "serve.internal_errors"
+
+    def __init__(self) -> None:
+        self.counters: dict[str, int] = {}
+        self.draining = False
+        self.started = time.monotonic()
+        self._active_connections = 0
+        self._drained = asyncio.Event()
+        self._server: Optional[asyncio.AbstractServer] = None
+
+    @property
+    def address(self) -> tuple:
+        return self._server.sockets[0].getsockname()[:2]
+
+    async def listen(self, host: str, port: int) -> None:
+        self._server = await asyncio.start_server(
+            self._handle_connection, host, port
+        )
+
+    async def stop_listening(self) -> None:
+        self._server.close()
+        await self._server.wait_closed()
+
+    def config_view(self) -> dict:
+        """The resolved value of every serve knob: the table's reading of
+        the environment, overridden by the ``config`` fields this service
+        runs with (a flag beats the environment)."""
+        view = knob_values("REPRO_SERVE_")
+        for name, variable in self.config.FIELD_KNOBS.items():
+            view[variable] = getattr(self.config, name)
+        return view
+
+    def _count(self, name: str, value: int = 1) -> None:
+        self.counters[name] = self.counters.get(name, 0) + value
+        if OBS.enabled:
+            OBS.counter(name, value)
+
+    async def _route(self, method: str, target: str, body: bytes,
+                     writer) -> None:
+        raise NotImplementedError
+
+    async def _handle_connection(self, reader, writer) -> None:
+        self._active_connections += 1
+        try:
+            request = await read_request(reader)
+            if request is not None:
+                await self._route(*request, writer)
+        except (ConnectionResetError, BrokenPipeError,
+                asyncio.IncompleteReadError):
+            pass
+        except ProtocolError as exc:
+            await respond(writer, 400, {"error": "bad_request",
+                                        "detail": str(exc)})
+        except Exception as exc:  # never kill the accept loop
+            self._count(self.INTERNAL_ERRORS)
+            try:
+                await respond(
+                    writer, 500,
+                    {"error": "internal",
+                     "detail": f"{type(exc).__name__}: {exc}"},
+                )
+            except OSError:
+                pass
+        finally:
+            self._active_connections -= 1
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (OSError, asyncio.CancelledError):
+                pass
+
+
+async def _serve(make: Callable[[], Service], on_ready) -> None:
+    """Build and start a service, report it ready, block until drained."""
+    service = make()
+    await service.start()
+    loop = asyncio.get_running_loop()
+    try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(
+                signum, lambda: asyncio.ensure_future(service.drain())
+            )
+    except (NotImplementedError, RuntimeError):
+        pass  # off the main thread (ServiceThread) or no signal support
+    on_ready(service)
+    await service.wait_closed()
+
+
+def run_service(make: Callable[[], Service], announce=None) -> int:
+    """Run ``make()`` until drained; SIGINT/SIGTERM start the drain.
+
+    ``announce(service, host, port)`` is called once it listens.
+    """
+
+    def ready(service: Service) -> None:
+        if announce is not None:
+            announce(service, *service.address)
+
+    asyncio.run(_serve(make, ready))
+    return 0
+
+
+class ServiceThread:
+    """A service on a background thread (tests, benchmarks).
+
+    Context-manager use drains the service on exit, so in-flight jobs
+    finish before the ``with`` block returns.
+    """
+
+    def __init__(self, make: Callable[[], Service], name: str) -> None:
+        self._make = make
+        self.service: Optional[Service] = None
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        self.host: Optional[str] = None
+        self.port: Optional[int] = None
+        self.error: Optional[BaseException] = None
+        self._ready = threading.Event()
+        self._thread = threading.Thread(
+            target=self._main, name=name, daemon=True
+        )
+
+    def _main(self) -> None:
+        try:
+            asyncio.run(_serve(self._make, self._on_ready))
+        except BaseException as exc:  # surfaced by start()
+            self.error = exc
+            self._ready.set()
+
+    def _on_ready(self, service: Service) -> None:
+        self.service = service
+        self.loop = asyncio.get_running_loop()
+        self.host, self.port = service.address
+        self._ready.set()
+
+    def start(self) -> "ServiceThread":
+        self._thread.start()
+        self._ready.wait(timeout=60)
+        name = self._thread.name
+        if self.error is not None:
+            raise RuntimeError(f"{name} failed to start") from self.error
+        if self.port is None:
+            raise RuntimeError(f"{name} did not come up within 60s")
+        return self
+
+    def request_drain(self) -> None:
+        if self.loop is not None and self._thread.is_alive():
+            self.loop.call_soon_threadsafe(self._drain)
+
+    def _drain(self) -> None:
+        # A service already draining (say, a shard the router shut down)
+        # may finish before a second drain task would ever start.
+        if not self.service.draining:
+            asyncio.ensure_future(self.service.drain())
+
+    def join(self, timeout: float = 120.0) -> None:
+        self._thread.join(timeout)
+
+    def __enter__(self) -> "ServiceThread":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.request_drain()
+        self.join()

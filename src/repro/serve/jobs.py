@@ -17,7 +17,6 @@ rebuilding it per request.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import OrderedDict
 from threading import Lock
@@ -26,22 +25,13 @@ from typing import Optional
 from repro.obs import OBS
 from repro.serve.protocol import JobSpec, encode_json
 
-#: Parsed/repaired modules kept warm per worker (``REPRO_SERVE_WARM``).
-WARM_ENV_VAR = "REPRO_SERVE_WARM"
-DEFAULT_WARM_MODULES = 32
+#: Parsed/repaired modules kept warm per worker.
+WARM_MODULES = 32
 
 #: ``(source, name, optimize) -> (module, repaired)`` — worker-local.
 _WARM_LOCK = Lock()
 _WARM_MODULES: "OrderedDict[tuple, tuple]" = OrderedDict()
 _WARM_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def _warm_limit() -> int:
-    raw = os.environ.get(WARM_ENV_VAR, "").strip()
-    try:
-        return int(raw) if raw else DEFAULT_WARM_MODULES
-    except ValueError:
-        return DEFAULT_WARM_MODULES
 
 
 def prepared_modules(source: str, name: str, optimize: bool):
@@ -76,8 +66,7 @@ def _remember(key, entry) -> None:
     with _WARM_LOCK:
         _WARM_MODULES[key] = entry
         _WARM_MODULES.move_to_end(key)
-        limit = _warm_limit()
-        while len(_WARM_MODULES) > max(1, limit):
+        while len(_WARM_MODULES) > WARM_MODULES:
             _WARM_MODULES.popitem(last=False)
             _WARM_STATS["evictions"] += 1
             if OBS.enabled:

@@ -36,19 +36,8 @@ import zlib
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.knobs import knob
 from repro.obs import OBS
-
-FSYNC_ENV_VAR = "REPRO_SERVE_JOURNAL_FSYNC"
-DEFAULT_FSYNC_EVERY = 8
-
-
-def _fsync_from_env() -> int:
-    raw = os.environ.get(FSYNC_ENV_VAR, "").strip()
-    try:
-        value = int(raw) if raw else DEFAULT_FSYNC_EVERY
-    except ValueError:
-        return DEFAULT_FSYNC_EVERY
-    return max(1, value)
 
 
 def _encode(record: dict) -> bytes:
@@ -81,7 +70,8 @@ class JobJournal:
     def __init__(self, path, fsync_every: Optional[int] = None) -> None:
         self.path = Path(path)
         self.fsync_every = (
-            _fsync_from_env() if fsync_every is None else max(1, fsync_every)
+            knob("REPRO_SERVE_JOURNAL_FSYNC") if fsync_every is None
+            else max(1, fsync_every)
         )
         self._handle = None
         self._unsynced = 0

@@ -6,8 +6,9 @@ the :mod:`repro.serve.jobs` warm-module memo populated *across* jobs,
 which is where the serve layer's throughput over per-request process
 startup comes from.  Two memory-bounding disciplines apply:
 
-* every warm cache is a bounded LRU (``REPRO_SERVE_WARM`` modules per
-  worker; the executor caches honour ``REPRO_EXEC_CACHE_SIZE``);
+* every warm cache is a bounded LRU (:data:`repro.serve.jobs.WARM_MODULES`
+  modules per worker; the executor caches honour
+  ``REPRO_EXEC_CACHE_SIZE``);
 * workers are **recycled** after ``REPRO_SERVE_RECYCLE`` jobs: the pool
   uses ``ProcessPoolExecutor(max_tasks_per_child=N)``, which retires a
   worker process after N jobs and spawns a fresh one, so a pathological
@@ -28,28 +29,16 @@ import os
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Optional
 
+from repro.knobs import knob
 from repro.serve.faults import apply_worker_fault
 from repro.serve.jobs import canonical_result_bytes, execute_job
 from repro.serve.protocol import JobSpec
 
-WORKERS_ENV_VAR = "REPRO_SERVE_WORKERS"
-RECYCLE_ENV_VAR = "REPRO_SERVE_RECYCLE"
-DEFAULT_RECYCLE = 200
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Worker count: explicit, then ``REPRO_SERVE_WORKERS``, then cpu."""
     if workers is None:
-        workers = _env_int(WORKERS_ENV_VAR, -1)
-        if workers < 0:
+        workers = knob("REPRO_SERVE_WORKERS")
+        if workers is None:
             workers = os.cpu_count() or 1
     return max(0, workers)
 
@@ -104,11 +93,7 @@ class WarmPool:
         recycle: Optional[int] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
-        self.recycle = (
-            _env_int(RECYCLE_ENV_VAR, DEFAULT_RECYCLE)
-            if recycle is None
-            else recycle
-        )
+        self.recycle = knob("REPRO_SERVE_RECYCLE") if recycle is None else recycle
         self.rebuilds = 0
         if self.workers == 0:
             self.mode = "thread"

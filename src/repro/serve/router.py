@@ -16,8 +16,9 @@ The router is *stateless* above the ring: job ids returned to clients
 are compound — ``<shard id>.<shard-local id>`` — so status, result and
 event-stream requests route without a lookup table, and a router
 restart loses nothing.  Shard health is probed every
-``REPRO_SERVE_HEALTH`` seconds and on every forwarding failure; a shard
-that answers again is restored to the ring (``serve.shard.recovered``).
+``RouterConfig.health_interval`` seconds (default 2) and on every
+forwarding failure; a shard that answers again is restored to the ring
+(``serve.shard.recovered``).
 
 Per-shard draining: ``POST /v1/shards/<sid>/drain`` takes one shard out
 of the intake ring and lets its in-flight jobs finish while the rest of
@@ -25,7 +26,10 @@ the fleet keeps accepting — the rolling-restart primitive.
 
 :class:`ShardSupervisor` spawns the shard processes (``lif serve
 --port 0`` subprocesses, one journal each) and is what the soak
-benchmark and the crash tests kill and restart.
+benchmark and the crash tests kill and restart.  Each shard gets its own
+``--journal`` file; the ``REPRO_SERVE_JOURNAL`` the router was started
+with names their directory and is not passed on, so no two shards ever
+share (and replay) one journal.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.knobs import KNOBS
 from repro.obs import OBS
 from repro.serve import httpio
 from repro.serve.protocol import (
@@ -51,8 +56,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.ring import HashRing
 
-SHARDS_ENV_VAR = "REPRO_SERVE_SHARDS"
-HEALTH_ENV_VAR = "REPRO_SERVE_HEALTH"
+#: Seconds between shard health sweeps.
 DEFAULT_HEALTH_INTERVAL = 2.0
 
 #: Seconds the router gives a shard to answer one forwarded request.
@@ -97,42 +101,28 @@ class Shard:
 class RouterConfig:
     """Bind address and probe cadence of the shard router."""
 
-    host: str = "127.0.0.1"
-    port: int = 8765
+    #: The fields that default from a knob (not a dataclass field).
+    FIELD_KNOBS = {"host": "REPRO_SERVE_HOST", "port": "REPRO_SERVE_PORT"}
+
+    host: str = KNOBS["REPRO_SERVE_HOST"].default
+    port: int = KNOBS["REPRO_SERVE_PORT"].default
     health_interval: float = DEFAULT_HEALTH_INTERVAL
     forward_timeout: float = FORWARD_TIMEOUT
 
     @classmethod
     def from_env(cls, **overrides) -> "RouterConfig":
-        config = cls(
-            host=os.environ.get("REPRO_SERVE_HOST", "127.0.0.1"),
-            health_interval=_env_float(
-                HEALTH_ENV_VAR, DEFAULT_HEALTH_INTERVAL
-            ),
-        )
-        raw_port = os.environ.get("REPRO_SERVE_PORT", "").strip()
-        if raw_port.isdigit():
-            config.port = int(raw_port)
-        for name, value in overrides.items():
-            if value is not None:
-                setattr(config, name, value)
-        return config
+        return httpio.config_from_env(cls, overrides)
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return float(raw) if raw else default
-    except ValueError:
-        return default
-
-
-class RouterServer:
+class RouterServer(httpio.Service):
     """Consistent-hash front door over a fleet of repair shards."""
+
+    INTERNAL_ERRORS = "serve.router.internal_errors"
 
     def __init__(self, config: RouterConfig, shards: "list[Shard]") -> None:
         if not shards:
             raise ValueError("router needs at least one shard")
+        super().__init__()
         self.config = config
         self.shards: "dict[str, Shard]" = {
             shard.shard_id: shard for shard in shards
@@ -140,24 +130,12 @@ class RouterServer:
         self.ring = HashRing()
         for shard_id in self.shards:
             self.ring.add(shard_id)
-        self.counters: dict[str, int] = {}
-        self.draining = False
-        self._drained = asyncio.Event()
-        self._server: Optional[asyncio.AbstractServer] = None
         self._health_task: Optional[asyncio.Task] = None
-        self.started = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def address(self) -> tuple:
-        sock = self._server.sockets[0]
-        return sock.getsockname()[:2]
-
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        await self.listen(self.config.host, self.config.port)
         self._health_task = asyncio.create_task(self._health_loop())
 
     async def wait_closed(self) -> None:
@@ -168,8 +146,7 @@ class RouterServer:
                 await self._health_task
             except asyncio.CancelledError:
                 pass
-        self._server.close()
-        await self._server.wait_closed()
+        await self.stop_listening()
 
     async def drain(self) -> None:
         """Drain every shard, then the router itself."""
@@ -384,6 +361,7 @@ class RouterServer:
                 for sid, shard in sorted(self.shards.items())
             },
             "ring": self.ring.stats(),
+            "config": self.config_view(),
         }
 
     async def _aggregate_stats(self) -> dict:
@@ -408,42 +386,7 @@ class RouterServer:
         view["shard_stats"] = dict(sorted(shard_stats.items()))
         return view
 
-    def _count(self, name: str, value: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
-        if OBS.enabled:
-            OBS.counter(name, value)
-
-    # -- HTTP plumbing -------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            request = await httpio.read_request(reader)
-            if request is None:
-                return
-            method, target, body = request
-            await self._route(method, target, body, writer)
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError):
-            pass
-        except ProtocolError as exc:
-            await httpio.respond(writer, 400, {"error": "bad_request",
-                                               "detail": str(exc)})
-        except Exception as exc:  # never kill the accept loop
-            self._count("serve.router.internal_errors")
-            try:
-                await httpio.respond(
-                    writer, 500,
-                    {"error": "internal",
-                     "detail": f"{type(exc).__name__}: {exc}"},
-                )
-            except OSError:
-                pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
+    # -- HTTP routing --------------------------------------------------------
 
     async def _route(self, method: str, target: str, body: bytes,
                      writer) -> None:
@@ -562,6 +505,7 @@ class ShardSupervisor:
             )
             command += ["--journal", journal]
         env = dict(os.environ if self.env is None else self.env)
+        env.pop("REPRO_SERVE_JOURNAL", None)  # journals are per shard
         env.setdefault("PYTHONUNBUFFERED", "1")
         process = subprocess.Popen(
             command,
@@ -661,91 +605,29 @@ class ShardSupervisor:
                 process.wait(timeout=30)
 
 
-async def _amain(config: RouterConfig, shards: "list[Shard]",
-                 announce=None) -> None:
-    router = RouterServer(config, shards)
-    await router.start()
-    host, port = router.address
-    if announce is not None:
-        announce(router, host, port)
-    loop = asyncio.get_running_loop()
-    try:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(
-                signum, lambda: asyncio.ensure_future(router.drain())
-            )
-    except (ImportError, NotImplementedError, RuntimeError):
-        pass
-    await router.wait_closed()
-
-
 def run_router(config: RouterConfig, shards: "list[Shard]",
                announce=None) -> int:
     """Run the router until drained (``lif serve --shards N``)."""
-    asyncio.run(_amain(config, shards, announce))
-    return 0
+    return httpio.run_service(lambda: RouterServer(config, shards), announce)
 
 
-class RouterThread:
+class RouterThread(httpio.ServiceThread):
     """An in-process router on a background thread (tests, benchmarks)."""
 
     def __init__(self, config: RouterConfig, shards: "list[Shard]") -> None:
         self.config = config
         self.shards = shards
-        self.router: Optional[RouterServer] = None
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
-        self.host: Optional[str] = None
-        self.port: Optional[int] = None
-        self.error: Optional[BaseException] = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._main, name="repro-serve-router", daemon=True
-        )
+        super().__init__(lambda: RouterServer(config, shards),
+                         "repro-serve-router")
 
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # surfaced by start()
-            self.error = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:
-        self.router = RouterServer(self.config, self.shards)
-        await self.router.start()
-        self.loop = asyncio.get_running_loop()
-        self.host, self.port = self.router.address
-        self._ready.set()
-        await self.router.wait_closed()
-
-    def start(self) -> "RouterThread":
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self.error is not None:
-            raise RuntimeError("router failed to start") from self.error
-        if self.port is None:
-            raise RuntimeError("router did not come up within 60s")
-        return self
-
-    def request_drain(self) -> None:
-        if self.loop is not None and self._thread.is_alive():
-            self.loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.router.drain())
-            )
+    @property
+    def router(self) -> Optional[RouterServer]:
+        return self.service
 
     def probe_now(self) -> None:
         """Force an immediate health sweep (tests don't wait the interval)."""
         if self.loop is not None and self._thread.is_alive():
             future = asyncio.run_coroutine_threadsafe(
-                self.router.probe_all(), self.loop
+                self.service.probe_all(), self.loop
             )
             future.result(timeout=30)
-
-    def join(self, timeout: float = 120.0) -> None:
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.request_drain()
-        self.join()

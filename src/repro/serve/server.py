@@ -55,14 +55,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from repro.knobs import KNOBS, knob
 from repro.obs import OBS
 from repro.serve import httpio
 from repro.serve.cache import ResultCache, default_result_cache
-from repro.serve.faults import (
-    FaultPlan,
-    make_torn_append_fault,
-    worker_fault_token,
-)
+from repro.serve.faults import make_torn_append_fault, worker_fault_token
 from repro.serve.journal import JobJournal
 from repro.serve.pool import WarmPool
 from repro.serve.protocol import (
@@ -74,59 +71,29 @@ from repro.serve.protocol import (
     job_key,
 )
 
-HOST_ENV_VAR = "REPRO_SERVE_HOST"
-PORT_ENV_VAR = "REPRO_SERVE_PORT"
-QUEUE_ENV_VAR = "REPRO_SERVE_QUEUE"
-TENANT_RPS_ENV_VAR = "REPRO_SERVE_TENANT_RPS"
-SPOOL_ENV_VAR = "REPRO_SERVE_SPOOL"
-JOURNAL_ENV_VAR = "REPRO_SERVE_JOURNAL"
-CLASSES_ENV_VAR = "REPRO_SERVE_CLASSES"
-RETRIES_ENV_VAR = "REPRO_SERVE_RETRIES"
-
-DEFAULT_PORT = 8765
-DEFAULT_QUEUE_LIMIT = 512
-DEFAULT_MAX_RETRIES = 2
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return float(raw) if raw else default
-    except ValueError:
-        return default
-
-
 def parse_class_weights(text: Optional[str]) -> dict:
     """``"gold=4,normal=1"`` → ``{"gold": 4, "normal": 1}``.
 
     Unknown classes default to weight 1 at dispatch time, so the map
-    only needs the classes that deserve more (or, at 0-is-invalid, no
-    fewer) slots.  Malformed entries are ignored rather than fatal — a
-    scheduling knob must never take the service down.
+    only needs the classes that deserve more slots.  An entry without a
+    class name or without an integer weight >= 1 raises ``ValueError``.
     """
     weights: dict[str, int] = {}
     for chunk in (text or "").split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        name, sep, value = chunk.partition("=")
-        name = name.strip()
-        if not sep or not name:
-            continue
+        name, _, value = chunk.partition("=")
         try:
             weight = int(value)
         except ValueError:
-            continue
-        if weight >= 1:
-            weights[name] = weight
+            weight = 0
+        if not name.strip() or weight < 1:
+            raise ValueError(
+                f"bad class weight {chunk!r} "
+                "(expected <class>=<integer >= 1>)"
+            )
+        weights[name.strip()] = weight
     return weights
 
 
@@ -134,11 +101,25 @@ def parse_class_weights(text: Optional[str]) -> dict:
 class ServeConfig:
     """Everything ``lif serve`` can tune (flags override the environment)."""
 
-    host: str = "127.0.0.1"
-    port: int = DEFAULT_PORT
+    #: The fields that default from a knob (not a dataclass field).
+    FIELD_KNOBS = {
+        "host": "REPRO_SERVE_HOST",
+        "port": "REPRO_SERVE_PORT",
+        "workers": "REPRO_SERVE_WORKERS",
+        "recycle": "REPRO_SERVE_RECYCLE",
+        "queue_limit": "REPRO_SERVE_QUEUE",
+        "tenant_rps": "REPRO_SERVE_TENANT_RPS",
+        "spool_dir": "REPRO_SERVE_SPOOL",
+        "journal_path": "REPRO_SERVE_JOURNAL",
+        "class_weights": "REPRO_SERVE_CLASSES",
+        "max_retries": "REPRO_SERVE_RETRIES",
+    }
+
+    host: str = KNOBS["REPRO_SERVE_HOST"].default
+    port: int = KNOBS["REPRO_SERVE_PORT"].default
     workers: Optional[int] = None
     recycle: Optional[int] = None
-    queue_limit: int = DEFAULT_QUEUE_LIMIT
+    queue_limit: int = KNOBS["REPRO_SERVE_QUEUE"].default
     tenant_rps: float = 0.0  # 0 = rate limiting off
     spool_dir: Optional[str] = None
     use_cache: bool = True
@@ -147,7 +128,7 @@ class ServeConfig:
     #: Priority-class weights for the deficit-round-robin dispatcher.
     class_weights: dict = field(default_factory=dict)
     #: Re-dispatches after a transport failure before a job is failed.
-    max_retries: int = DEFAULT_MAX_RETRIES
+    max_retries: int = KNOBS["REPRO_SERVE_RETRIES"].default
     #: Seconds a ``?wait=1`` status request may block before answering.
     wait_timeout: float = 600.0
     #: After the last in-flight job drains, keep answering status/result
@@ -157,22 +138,7 @@ class ServeConfig:
 
     @classmethod
     def from_env(cls, **overrides) -> "ServeConfig":
-        config = cls(
-            host=os.environ.get(HOST_ENV_VAR, "127.0.0.1"),
-            port=_env_int(PORT_ENV_VAR, DEFAULT_PORT),
-            queue_limit=_env_int(QUEUE_ENV_VAR, DEFAULT_QUEUE_LIMIT),
-            tenant_rps=_env_float(TENANT_RPS_ENV_VAR, 0.0),
-            spool_dir=os.environ.get(SPOOL_ENV_VAR) or None,
-            journal_path=os.environ.get(JOURNAL_ENV_VAR) or None,
-            class_weights=parse_class_weights(
-                os.environ.get(CLASSES_ENV_VAR)
-            ),
-            max_retries=_env_int(RETRIES_ENV_VAR, DEFAULT_MAX_RETRIES),
-        )
-        for name, value in overrides.items():
-            if value is not None:
-                setattr(config, name, value)
-        return config
+        return httpio.config_from_env(cls, overrides)
 
 
 class TokenBucket:
@@ -296,47 +262,37 @@ class JobRecord:
 _STOP = object()
 
 
-class RepairServer:
+class RepairServer(httpio.Service):
     """The long-running multi-tenant service in front of ``repro.api``."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
+        super().__init__()
         self.config = config or ServeConfig.from_env()
         self.pool = WarmPool(self.config.workers, self.config.recycle)
         self.cache: Optional[ResultCache] = (
             default_result_cache() if self.config.use_cache else None
         )
-        spool = self.config.spool_dir or os.path.join(
-            os.environ.get("REPRO_CACHE_DIR", ".repro-cache"), "serve-spool"
+        self.spool_dir = Path(
+            self.config.spool_dir
+            or os.path.join(knob("REPRO_CACHE_DIR"), "serve-spool")
         )
-        self.spool_dir = Path(spool)
         self.jobs: dict[str, JobRecord] = {}
         self.by_key: dict[str, str] = {}  # in-flight key -> job_id
         self.queue = WeightedQueue(self.config.class_weights)
         self.buckets: dict[str, TokenBucket] = {}
-        self.counters: dict[str, int] = {}
         self.tenant_jobs: dict[str, int] = {}
         self.pending = 0  # submitted but not finished (queued + running)
         self.running = 0
         self.peak_in_flight = 0
-        self.draining = False
-        self.faults = FaultPlan.from_env()
+        self.faults = knob("REPRO_SERVE_FAULTS")
         self.journal: Optional[JobJournal] = None
-        self._active_connections = 0
-        self._drained = asyncio.Event()
         self._seq = 0
         self._journal_seq = 0
         self._dispatch_seq = 0
         self._response_seq = 0
-        self._server: Optional[asyncio.AbstractServer] = None
         self._dispatchers: list = []
-        self.started = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def address(self) -> tuple:
-        sock = self._server.sockets[0]
-        return sock.getsockname()[:2]
 
     async def start(self) -> None:
         self.spool_dir.mkdir(parents=True, exist_ok=True)
@@ -345,9 +301,7 @@ class RepairServer:
             self.journal.append_fault = make_torn_append_fault(self.faults)
             for record in self.journal.recover():
                 self._replay(record)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        await self.listen(self.config.host, self.config.port)
         self._dispatchers = [
             asyncio.create_task(self._dispatcher())
             for _ in range(max(1, self.pool.slots))
@@ -362,8 +316,7 @@ class RepairServer:
         for _ in self._dispatchers:
             self.queue.put_control(_STOP)
         await asyncio.gather(*self._dispatchers, return_exceptions=True)
-        self._server.close()
-        await self._server.wait_closed()
+        await self.stop_listening()
         self.pool.shutdown(wait=True)
         if self.journal is not None:
             self.journal.close()
@@ -618,11 +571,6 @@ class RepairServer:
             bucket = self.buckets[tenant] = TokenBucket(rate, 2 * rate)
         return bucket.take()
 
-    def _count(self, name: str, value: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
-        if OBS.enabled:
-            OBS.counter(name, value)
-
     def _append_event(self, record: JobRecord, event: dict) -> None:
         if record.events_path is None:
             return
@@ -661,39 +609,18 @@ class RepairServer:
             "faults": self.faults.stats() if self.faults else None,
             "exec_caches": executor_cache_stats(),
             "warm_modules": warm_module_stats(),
+            "config": self.config_view(),
         }
 
-    # -- HTTP plumbing -------------------------------------------------------
+    def config_view(self) -> dict:
+        return {
+            **super().config_view(),
+            "REPRO_SERVE_WORKERS": self.pool.workers,
+            "REPRO_SERVE_RECYCLE": self.pool.recycle,
+            "REPRO_SERVE_CACHE": self.cache is not None,
+        }
 
-    async def _handle_connection(self, reader, writer) -> None:
-        self._active_connections += 1
-        try:
-            request = await httpio.read_request(reader)
-            if request is None:
-                return
-            method, target, body = request
-            await self._route(method, target, body, writer)
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        except ProtocolError as exc:
-            await self._respond(writer, 400, {"error": "bad_request",
-                                              "detail": str(exc)})
-        except Exception as exc:  # never kill the accept loop
-            self._count("serve.internal_errors")
-            try:
-                await self._respond(
-                    writer, 500,
-                    {"error": "internal", "detail": f"{type(exc).__name__}: {exc}"},
-                )
-            except OSError:
-                pass
-        finally:
-            self._active_connections -= 1
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
+    # -- HTTP routing --------------------------------------------------------
 
     async def _route(self, method: str, target: str, body: bytes, writer):
         path, _, query = target.partition("?")
@@ -713,30 +640,30 @@ class RepairServer:
             if status == 429:
                 extra = (("Retry-After", str(max(1, int(payload.get(
                     "retry_after", 1) + 0.999)))),)
-            await self._respond(writer, status, payload, extra_headers=extra)
+            await httpio.respond(writer, status, payload, extra_headers=extra)
             return
         if method == "POST" and path == "/v1/shutdown":
             pending = self.pending
             await self.drain()
-            await self._respond(
+            await httpio.respond(
                 writer, 200, {"status": "draining", "pending": pending}
             )
             return
         if method == "GET" and path == "/v1/healthz":
-            await self._respond(
+            await httpio.respond(
                 writer, 200,
                 {"status": "draining" if self.draining else "ok"},
             )
             return
         if method == "GET" and path == "/v1/stats":
-            await self._respond(writer, 200, self.stats())
+            await httpio.respond(writer, 200, self.stats())
             return
         if method == "GET" and path.startswith("/v1/jobs/"):
             rest = path[len("/v1/jobs/"):]
             job_id, _, sub = rest.partition("/")
             record = self.jobs.get(job_id)
             if record is None:
-                await self._respond(
+                await httpio.respond(
                     writer, 404, {"error": "unknown_job", "job_id": job_id}
                 )
                 return
@@ -752,22 +679,22 @@ class RepairServer:
                         )
                     except asyncio.TimeoutError:
                         pass
-                await self._respond(writer, 200, record.public())
+                await httpio.respond(writer, 200, record.public())
                 return
             if sub == "result":
                 if record.result is None:
-                    await self._respond(
+                    await httpio.respond(
                         writer, 404,
                         {"error": "not_done", "status": record.status},
                     )
                     return
-                await self._respond_raw(writer, 200, record.result)
+                await httpio.respond_raw(writer, 200, record.result)
                 return
             if sub == "events":
                 await self._stream_events(writer, record)
                 return
-        await self._respond(writer, 404, {"error": "unknown_endpoint",
-                                          "path": path})
+        await httpio.respond(writer, 404, {"error": "unknown_endpoint",
+                                           "path": path})
 
     async def _stream_events(self, writer, record: JobRecord) -> None:
         """Tail the job's JSONL spool until the job finishes."""
@@ -800,41 +727,14 @@ class RepairServer:
                 return
             await asyncio.sleep(0.02)
 
-    async def _respond(self, writer, status: int, payload: dict,
-                       extra_headers=()) -> None:
-        await httpio.respond(writer, status, payload, extra_headers)
-
-    async def _respond_raw(self, writer, status: int, body: bytes,
-                           extra_headers=()) -> None:
-        await httpio.respond_raw(writer, status, body, extra_headers)
-
-
-async def _amain(config: ServeConfig, announce=None) -> None:
-    server = RepairServer(config)
-    await server.start()
-    host, port = server.address
-    if announce is not None:
-        announce(server, host, port)
-    loop = asyncio.get_running_loop()
-    try:
-        import signal
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(
-                signum, lambda: asyncio.ensure_future(server.drain())
-            )
-    except (ImportError, NotImplementedError, RuntimeError):
-        pass
-    await server.wait_closed()
-
 
 def run_server(config: Optional[ServeConfig] = None, announce=None) -> int:
     """Run the service until drained (what ``lif serve`` does)."""
-    asyncio.run(_amain(config or ServeConfig.from_env(), announce))
-    return 0
+    config = config or ServeConfig.from_env()
+    return httpio.run_service(lambda: RepairServer(config), announce)
 
 
-class ServerThread:
+class ServerThread(httpio.ServiceThread):
     """An in-process server on a background thread (tests, benchmarks).
 
     Context-manager use drains the server on exit, so in-flight jobs
@@ -846,55 +746,5 @@ class ServerThread:
     """
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
-        import threading
-
         self.config = config or ServeConfig.from_env()
-        self.server: Optional[RepairServer] = None
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
-        self.host: Optional[str] = None
-        self.port: Optional[int] = None
-        self.error: Optional[BaseException] = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._main, name="repro-serve", daemon=True
-        )
-
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # surfaced by start()
-            self.error = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:
-        self.server = RepairServer(self.config)
-        await self.server.start()
-        self.loop = asyncio.get_running_loop()
-        self.host, self.port = self.server.address
-        self._ready.set()
-        await self.server.wait_closed()
-
-    def start(self) -> "ServerThread":
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self.error is not None:
-            raise RuntimeError("server failed to start") from self.error
-        if self.port is None:
-            raise RuntimeError("server did not come up within 60s")
-        return self
-
-    def request_drain(self) -> None:
-        if self.loop is not None and self._thread.is_alive():
-            self.loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.server.drain())
-            )
-
-    def join(self, timeout: float = 120.0) -> None:
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.request_drain()
-        self.join()
+        super().__init__(lambda: RepairServer(self.config), "repro-serve")

@@ -6,9 +6,14 @@ affinity, per-shard draining, and failover to live shards.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.knobs import KNOBS
 from repro.serve import (
     JobSpec,
     canonical_result_bytes,
@@ -170,6 +175,10 @@ def test_aggregate_stats_include_shard_views(fleet):
     owner = done["job_id"].split(".")[0]
     assert stats["shard_stats"][owner]["counters"]["serve.completed"] >= 1
     assert stats["ring"]["replicas"] >= 1
+    assert stats["config"]["REPRO_SERVE_PORT"] == 0
+    assert set(stats["config"]) == {
+        name for name in KNOBS if name.startswith("REPRO_SERVE_")
+    }
 
 
 def test_event_stream_pipes_through_the_router(fleet):
@@ -181,3 +190,56 @@ def test_event_stream_pipes_through_the_router(fleet):
              client.events(accepted["job_id"], timeout=60)]
     assert "job.queued" in names
     assert "job.done" in names
+
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def test_sharded_cli_gives_each_shard_its_own_journal(isolated_cache):
+    """``REPRO_SERVE_JOURNAL`` under ``--shards`` names a directory of
+    per-shard journals; no shard may inherit the router's setting and
+    share (then replay) another shard's file."""
+    journals = isolated_cache / "journals"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env["PYTHONUNBUFFERED"] = "1"
+    env["REPRO_SERVE_JOURNAL"] = str(journals)
+    router = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--shards", "2",
+         "--workers", "0", "--port", "0"],
+        env=env, cwd=isolated_cache, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        shard_ports = {}
+        while True:
+            line = router.stderr.readline()
+            assert line, f"lif serve exited early ({router.poll()})"
+            address = line.split("http://")[-1].split()[0]
+            if " shard " in line:
+                shard_ports[line.split()[3]] = int(address.rsplit(":", 1)[1])
+            if "router listening" in line:
+                router_port = int(address.rsplit(":", 1)[1])
+                break
+        paths = {
+            sid: ServeClient("127.0.0.1", port).stats()["journal"]["path"]
+            for sid, port in shard_ports.items()
+        }
+        assert paths == {
+            "s0": str(journals / "shard-0.jsonl"),
+            "s1": str(journals / "shard-1.jsonl"),
+        }
+        config = ServeClient("127.0.0.1", router_port).stats()["config"]
+        assert config["REPRO_SERVE_JOURNAL"] == str(journals)
+        ServeClient("127.0.0.1", router_port).shutdown()
+        assert router.wait(timeout=60) == 0
+    finally:
+        if router.poll() is None:
+            # SIGTERM drains the router, which stops its shard processes;
+            # SIGKILL would leave them running.
+            router.terminate()
+            try:
+                router.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                router.kill()
+                router.wait(timeout=30)
+        router.stderr.close()

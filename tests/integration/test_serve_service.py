@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.knobs import KNOBS
 from repro.serve import (
     JobSpec,
     canonical_result_bytes,
@@ -327,3 +328,19 @@ def test_server_start_failure_surfaces(isolated_cache):
         )
         with pytest.raises(RuntimeError):
             conflicting.start()
+
+
+def test_stats_report_the_resolved_config(isolated_cache, monkeypatch):
+    monkeypatch.setenv("REPRO_SERVE_QUEUE", "64")
+    monkeypatch.setenv("REPRO_SERVE_RETRIES", "1")
+    with _thread_server(max_retries=5) as srv:
+        config = ServeClient(srv.host, srv.port).stats()["config"]
+    assert set(config) == {
+        name for name in KNOBS if name.startswith("REPRO_SERVE_")
+    }
+    assert config["REPRO_SERVE_QUEUE"] == 64  # from the environment
+    assert config["REPRO_SERVE_RETRIES"] == 5  # the flag beats it
+    assert config["REPRO_SERVE_PORT"] == 0
+    assert config["REPRO_SERVE_WORKERS"] == 0
+    assert config["REPRO_SERVE_CLASSES"] == {}
+    assert config["REPRO_SERVE_CACHE"] is True

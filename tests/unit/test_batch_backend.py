@@ -12,17 +12,14 @@ import pytest
 
 from repro.exec import batch as batch_module
 from repro.exec import (
-    BATCH_SIZE_ENV_VAR,
-    DEFAULT_BATCH_SIZE,
     BatchExecutor,
     CompiledExecutor,
     make_executor,
     resolve_backend,
     run_many,
 )
-from repro.exec.backend import BACKEND_ENV_VAR
-from repro.exec.batch import NUMPY_ENV_VAR
 from repro.ir import parse_module
+from repro.knobs import KNOBS
 from repro.obs import OBS, configure
 
 SUM_IR = """
@@ -62,18 +59,18 @@ def _observe(result):
 
 class TestKnobs:
     def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(BATCH_SIZE_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
         executor = BatchExecutor(parse_module(SUM_IR))
-        assert executor.batch_size == DEFAULT_BATCH_SIZE
+        assert executor.batch_size == KNOBS["REPRO_BATCH_SIZE"].default
 
     def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "32")
+        monkeypatch.setenv("REPRO_BATCH_SIZE", "32")
         executor = BatchExecutor(parse_module(SUM_IR))
         assert executor.batch_size == 32
 
     def test_constructor_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "32")
-        monkeypatch.setenv(NUMPY_ENV_VAR, "0")
+        monkeypatch.setenv("REPRO_BATCH_SIZE", "32")
+        monkeypatch.setenv("REPRO_BATCH_NUMPY", "0")
         executor = BatchExecutor(
             parse_module(SUM_IR), batch_size=4, use_numpy=True,
         )
@@ -81,32 +78,32 @@ class TestKnobs:
         assert executor.np is not None or batch_module._np is None
 
     def test_bad_batch_size_rejected(self, monkeypatch):
-        monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "zero")
-        with pytest.raises(ValueError, match=BATCH_SIZE_ENV_VAR):
+        monkeypatch.setenv("REPRO_BATCH_SIZE", "zero")
+        with pytest.raises(ValueError, match="REPRO_BATCH_SIZE"):
             BatchExecutor(parse_module(SUM_IR))
-        monkeypatch.setenv(BATCH_SIZE_ENV_VAR, "-3")
-        with pytest.raises(ValueError, match=BATCH_SIZE_ENV_VAR):
+        monkeypatch.setenv("REPRO_BATCH_SIZE", "-3")
+        with pytest.raises(ValueError, match="REPRO_BATCH_SIZE"):
             BatchExecutor(parse_module(SUM_IR))
 
     @pytest.mark.parametrize("raw", ["", "1", "on", "YES", "true"])
     def test_numpy_knob_on_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(NUMPY_ENV_VAR, raw)
+        monkeypatch.setenv("REPRO_BATCH_NUMPY", raw)
         executor = BatchExecutor(parse_module(SUM_IR))
         assert executor.np is batch_module._np
 
     @pytest.mark.parametrize("raw", ["0", "off", "No", "false"])
     def test_numpy_knob_off_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(NUMPY_ENV_VAR, raw)
+        monkeypatch.setenv("REPRO_BATCH_NUMPY", raw)
         assert BatchExecutor(parse_module(SUM_IR)).np is None
 
     @pytest.mark.parametrize("raw", ["junk", "2", "enable"])
     def test_bad_numpy_knob_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(NUMPY_ENV_VAR, raw)
-        with pytest.raises(ValueError, match=NUMPY_ENV_VAR):
+        monkeypatch.setenv("REPRO_BATCH_NUMPY", raw)
+        with pytest.raises(ValueError, match="REPRO_BATCH_NUMPY"):
             BatchExecutor(parse_module(SUM_IR))
 
     def test_numpy_knob_still_exact(self, monkeypatch):
-        monkeypatch.setenv(NUMPY_ENV_VAR, "0")
+        monkeypatch.setenv("REPRO_BATCH_NUMPY", "0")
         module = parse_module(SUM_IR)
         executor = BatchExecutor(module)
         assert executor.np is None
@@ -243,13 +240,13 @@ class TestBackendSelection:
         assert executor.run("sum", [[2, 3], 2]).value == 5
 
     def test_env_var_selects_batch(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "batch")
+        monkeypatch.setenv("REPRO_BACKEND", "batch")
         assert resolve_backend(None) == "batch"
         module = parse_module(SUM_IR)
         assert isinstance(make_executor(module), BatchExecutor)
 
     def test_unknown_env_backend_raises_at_make_executor(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "turbo")
+        monkeypatch.setenv("REPRO_BACKEND", "turbo")
         module = parse_module(SUM_IR)
         with pytest.raises(ValueError) as info:
             make_executor(module)

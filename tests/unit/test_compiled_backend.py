@@ -20,7 +20,6 @@ from repro.exec import (
     make_executor,
     resolve_backend,
 )
-from repro.exec.backend import BACKEND_ENV_VAR
 from repro.ir import parse_module
 
 #: The option sets that select different generated code.
@@ -545,7 +544,7 @@ class TestErrorParityPerShape:
 
 class TestBackendSelection:
     def test_make_executor_compiled_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         module = parse_module("func @f() { entry: ret 1 }")
         executor = make_executor(module)
         assert isinstance(executor, CompiledExecutor)
@@ -557,13 +556,13 @@ class TestBackendSelection:
         assert isinstance(executor, Interpreter)
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
+        monkeypatch.setenv("REPRO_BACKEND", "interp")
         assert resolve_backend(None) == "interp"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "compiled")
+        monkeypatch.setenv("REPRO_BACKEND", "compiled")
         assert resolve_backend(None) == "compiled"
 
     def test_explicit_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
+        monkeypatch.setenv("REPRO_BACKEND", "interp")
         assert resolve_backend("compiled") == "compiled"
 
     def test_unknown_backend_rejected(self):
@@ -572,6 +571,6 @@ class TestBackendSelection:
             make_executor(module, backend="jit")
 
     def test_invalid_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "turbo")
+        monkeypatch.setenv("REPRO_BACKEND", "turbo")
         with pytest.raises(ValueError):
             resolve_backend(None)

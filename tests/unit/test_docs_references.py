@@ -2,10 +2,11 @@
 
 Two easy-to-rot reference classes are checked mechanically: every
 relative link in the ``docs/`` book (and the README) must resolve to a
-file in the repository, and every ``REPRO_*`` environment knob the
-EXPERIMENTS.md table documents must actually be read somewhere under
-``src/`` (or ``benchmarks/``, for harness-only knobs) — a renamed knob
-or a moved page fails here instead of misleading a reader.
+file in the repository, and the EXPERIMENTS.md knob table must match
+the program's knob table (:data:`repro.knobs.KNOBS`) both ways, by name
+and by default, while each harness-only knob it documents must be read
+under ``benchmarks/`` — a renamed, dropped or re-defaulted knob or a
+moved page fails here instead of misleading a reader.
 """
 
 from __future__ import annotations
@@ -13,10 +14,16 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from repro.knobs import KNOBS
+
 REPO = Path(__file__).resolve().parents[2]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-_KNOB_ROW = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
+_KNOB_ROW = re.compile(
+    r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|([^|]*)\|", re.MULTILINE
+)
+#: Knobs of the benchmark harnesses, not of the program.
+_HARNESS_ONLY = re.compile(r"REPRO_SOAK_|REPRO_BENCH_REPS$")
 
 
 def _doc_pages():
@@ -41,19 +48,31 @@ def test_docs_relative_links_resolve():
 
 
 def test_experiments_knobs_are_read_in_src():
-    text = (REPO / "EXPERIMENTS.md").read_text()
-    knobs = sorted(set(_KNOB_ROW.findall(text)))
-    assert len(knobs) >= 20, f"knob table shrank unexpectedly: {knobs}"
-    sources = "\n".join(
-        path.read_text()
-        for root in (REPO / "src", REPO / "benchmarks")
-        for path in root.rglob("*.py")
+    rows = _KNOB_ROW.findall((REPO / "EXPERIMENTS.md").read_text())
+    documented = {
+        name: default.strip().strip("`")
+        for name, default in rows
+        if not _HARNESS_ONLY.match(name)
+    }
+    table = {name: row.default_text() for name, row in KNOBS.items()}
+    assert sorted(documented) == sorted(table), (
+        "EXPERIMENTS.md and repro.knobs disagree on the knob set: "
+        f"undocumented {sorted(set(table) - set(documented))}, "
+        f"not in the table {sorted(set(documented) - set(table))}"
     )
-    unread = [knob for knob in knobs if knob not in sources]
-    assert not unread, (
-        "EXPERIMENTS.md documents env knobs with no read under src/ or "
-        f"benchmarks/: {unread}"
+    wrong = {
+        name: (documented[name], table[name])
+        for name in table if documented[name] != table[name]
+    }
+    assert not wrong, f"documented vs table defaults differ: {wrong}"
+    harness = "\n".join(
+        path.read_text() for path in (REPO / "benchmarks").rglob("*.py")
     )
+    unread = [
+        name for name, _ in rows
+        if _HARNESS_ONLY.match(name) and name not in harness
+    ]
+    assert not unread, f"harness knobs read nowhere in benchmarks/: {unread}"
 
 
 def test_docs_name_every_bench_record():

@@ -12,7 +12,6 @@ serve layer reports, and a bad bound is refused rather than replaced.
 import pytest
 
 from repro.exec import (
-    EXEC_CACHE_SIZE_ENV_VAR,
     batch_cache_stats,
     clear_batch_caches,
     clear_compile_cache,
@@ -72,26 +71,26 @@ def _modules(count, text=ADD_IR):
 
 
 def test_limit_env_knob(monkeypatch):
-    monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, "7")
+    monkeypatch.setenv("REPRO_EXEC_CACHE_SIZE", "7")
     assert exec_cache_limit() == 7
-    monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, "junk")
-    with pytest.raises(ValueError, match=EXEC_CACHE_SIZE_ENV_VAR):
+    monkeypatch.setenv("REPRO_EXEC_CACHE_SIZE", "junk")
+    with pytest.raises(ValueError, match="REPRO_EXEC_CACHE_SIZE"):
         exec_cache_limit()
-    monkeypatch.delenv(EXEC_CACHE_SIZE_ENV_VAR)
+    monkeypatch.delenv("REPRO_EXEC_CACHE_SIZE")
     assert exec_cache_limit() == 128
 
 
 @pytest.mark.parametrize("raw", ["0", "-3", "1.5"])
 def test_limit_env_knob_rejects_non_positive(monkeypatch, raw):
-    monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, raw)
-    with pytest.raises(ValueError, match=EXEC_CACHE_SIZE_ENV_VAR):
+    monkeypatch.setenv("REPRO_EXEC_CACHE_SIZE", raw)
+    with pytest.raises(ValueError, match="REPRO_EXEC_CACHE_SIZE"):
         exec_cache_limit()
-    with pytest.raises(ValueError, match=EXEC_CACHE_SIZE_ENV_VAR):
+    with pytest.raises(ValueError, match="REPRO_EXEC_CACHE_SIZE"):
         _compile(parse_module(ADD_IR))
 
 
 def test_compile_cache_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, "4")
+    monkeypatch.setenv("REPRO_EXEC_CACHE_SIZE", "4")
     modules = _modules(6)
     for module in modules:
         _compile(module)
@@ -109,7 +108,7 @@ def test_compile_cache_evicts_least_recently_used(monkeypatch):
 
 
 def test_compile_cache_hit_refreshes_recency(monkeypatch):
-    monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, "3")
+    monkeypatch.setenv("REPRO_EXEC_CACHE_SIZE", "3")
     modules = _modules(4)
     for module in modules[:3]:
         _compile(module)
@@ -124,7 +123,7 @@ def test_compile_cache_hit_refreshes_recency(monkeypatch):
 
 
 def test_batch_caches_are_bounded(monkeypatch):
-    monkeypatch.setenv(EXEC_CACHE_SIZE_ENV_VAR, "2")
+    monkeypatch.setenv("REPRO_EXEC_CACHE_SIZE", "2")
     modules = _modules(4, text=LOOP_IR)
     vectors = [[[1, 2, 3], 3], [[4, 5, 6], 3]]
     for module in modules:

@@ -14,8 +14,6 @@ from repro.bench.runner import build_request
 from repro.bench.suite import get_benchmark
 from repro.obs import (
     OBS,
-    TRACE_ENV_VAR,
-    TRACE_FILE_ENV_VAR,
     Collector,
     configure,
     read_events,
@@ -182,20 +180,23 @@ class TestSnapshotMerge:
 class TestFromEnvAndConfigure:
     def test_from_env_disabled_by_default(self):
         with mock.patch.dict(os.environ, clear=False) as env:
-            env.pop(TRACE_ENV_VAR, None)
-            env.pop(TRACE_FILE_ENV_VAR, None)
+            env.pop("REPRO_TRACE", None)
+            env.pop("REPRO_TRACE_FILE", None)
             assert not Collector.from_env().enabled
 
     def test_from_env_trace_knob(self):
-        with mock.patch.dict(os.environ, {TRACE_ENV_VAR: "1"}):
+        with mock.patch.dict(os.environ, {"REPRO_TRACE": "1"}):
             assert Collector.from_env().enabled
-        with mock.patch.dict(os.environ, {TRACE_ENV_VAR: "0"}):
+        with mock.patch.dict(os.environ, {"REPRO_TRACE": "0"}):
+            assert not Collector.from_env().enabled
+        # Was on for any value but "0": "false" turned tracing on.
+        with mock.patch.dict(os.environ, {"REPRO_TRACE": "false"}):
             assert not Collector.from_env().enabled
 
     def test_from_env_trace_file_knob(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         with mock.patch.dict(
-            os.environ, {TRACE_ENV_VAR: "0", TRACE_FILE_ENV_VAR: path}
+            os.environ, {"REPRO_TRACE": "0", "REPRO_TRACE_FILE": path}
         ):
             collector = Collector.from_env()
         assert collector.enabled
@@ -210,8 +211,8 @@ class TestFromEnvAndConfigure:
             assert OBS.counters["probe"] == 1
         finally:
             with mock.patch.dict(os.environ, clear=False) as env:
-                env.pop(TRACE_ENV_VAR, None)
-                env.pop(TRACE_FILE_ENV_VAR, None)
+                env.pop("REPRO_TRACE", None)
+                env.pop("REPRO_TRACE_FILE", None)
                 configure()
         assert not OBS.enabled
 
@@ -239,8 +240,8 @@ class TestBuildManyAggregation:
             assert OBS.counters.get("artifacts.store.misses", 0) == 0
         finally:
             with mock.patch.dict(os.environ, clear=False) as env:
-                env.pop(TRACE_ENV_VAR, None)
-                env.pop(TRACE_FILE_ENV_VAR, None)
+                env.pop("REPRO_TRACE", None)
+                env.pop("REPRO_TRACE_FILE", None)
                 configure()
 
     def test_disabled_build_many_keeps_collector_empty(self, tmp_path):

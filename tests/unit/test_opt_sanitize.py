@@ -4,7 +4,6 @@ import pytest
 
 from repro.ir import parse_module
 from repro.opt import (
-    SANITIZE_ENV_VAR,
     LeakFingerprint,
     LeakSanitizerError,
     sanitize_enabled,
@@ -143,12 +142,18 @@ class TestCleanPipeline:
         assert set(optimized.functions) == set(repaired.functions)
 
     def test_env_var_gates_default(self, monkeypatch):
-        monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_OPT_SANITIZE", raising=False)
         assert not sanitize_enabled()
-        monkeypatch.setenv(SANITIZE_ENV_VAR, "0")
+        monkeypatch.setenv("REPRO_OPT_SANITIZE", "0")
         assert not sanitize_enabled()
-        monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
+        monkeypatch.setenv("REPRO_OPT_SANITIZE", "1")
         assert sanitize_enabled()
+        # Was on for any value but "0": "off" armed the sanitizer.
+        monkeypatch.setenv("REPRO_OPT_SANITIZE", "off")
+        assert not sanitize_enabled()
+        monkeypatch.setenv("REPRO_OPT_SANITIZE", "maybe")
+        with pytest.raises(ValueError, match="REPRO_OPT_SANITIZE"):
+            sanitize_enabled()
 
 
 # Balanced select (arms 1 and 2, equal Hamming weight)...

@@ -2,24 +2,14 @@
 
 import pytest
 
-from repro.artifacts.store import (
-    DEFAULT_SHARD_WIDTH,
-    SHARD_ENV_VAR,
-    ArtifactStore,
-    shard_width_from_env,
-)
+from repro.artifacts.store import DEFAULT_SHARD_WIDTH, ArtifactStore, BlobStore
 from repro.serve.cache import ResultCache, default_result_cache
 
 
-def test_shard_width_env_knob(monkeypatch):
-    monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
-    assert shard_width_from_env() == DEFAULT_SHARD_WIDTH
-    monkeypatch.setenv(SHARD_ENV_VAR, "3")
-    assert shard_width_from_env() == 3
-    monkeypatch.setenv(SHARD_ENV_VAR, "99")
-    assert shard_width_from_env() == 8  # clamped
-    monkeypatch.setenv(SHARD_ENV_VAR, "junk")
-    assert shard_width_from_env() == DEFAULT_SHARD_WIDTH
+def test_shard_width_is_a_constructor_parameter(tmp_path):
+    for store_type in (ArtifactStore, BlobStore, ResultCache):
+        assert store_type(tmp_path).shard_width == DEFAULT_SHARD_WIDTH == 2
+        assert store_type(tmp_path, shard_width=3).shard_width == 3
 
 
 def test_result_cache_layout_and_round_trip(tmp_path):
@@ -68,6 +58,12 @@ def test_default_result_cache_env_gates(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_SERVE_CACHE")
     monkeypatch.setenv("REPRO_CACHE", "0")
     assert default_result_cache() is None
+    # Only the exact spelling "0" used to disable the cache.
+    monkeypatch.setenv("REPRO_CACHE", "false")
+    assert default_result_cache() is None
+    monkeypatch.setenv("REPRO_CACHE", "nope")
+    with pytest.raises(ValueError, match="REPRO_CACHE"):
+        default_result_cache()
 
 
 def test_artifact_store_shard_stats(tmp_path, monkeypatch):

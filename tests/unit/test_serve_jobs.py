@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.serve import JobSpec, canonical_result_bytes, execute_job
+from repro.serve import jobs as jobs_module
 from repro.serve.jobs import (
-    WARM_ENV_VAR,
     clear_warm_modules,
     make_verify_inputs,
     prepared_modules,
@@ -108,7 +108,7 @@ def test_warm_memo_hits_on_repeat_submissions():
 
 
 def test_warm_memo_is_bounded(monkeypatch):
-    monkeypatch.setenv(WARM_ENV_VAR, "2")
+    monkeypatch.setattr(jobs_module, "WARM_MODULES", 2)
     for index in range(4):
         prepared_modules(SOURCE + f"// v{index}\n", "gate", False)
     stats = warm_module_stats()

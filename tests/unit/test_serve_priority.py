@@ -2,6 +2,8 @@
 
 import asyncio
 
+import pytest
+
 from repro.serve.server import WeightedQueue, parse_class_weights
 
 
@@ -11,10 +13,11 @@ class TestParseClassWeights:
             "gold": 4, "normal": 1,
         }
 
-    def test_malformed_entries_are_ignored(self):
-        assert parse_class_weights("gold=4,broken,=2,x=zero,neg=-1") == {
-            "gold": 4,
-        }
+    def test_malformed_entries_raise(self):
+        for bad in ("broken", "=2", "x=zero", "neg=-1", "gold=0",
+                    "gold=4,broken"):
+            with pytest.raises(ValueError, match="class weight"):
+                parse_class_weights(bad)
 
     def test_empty(self):
         assert parse_class_weights(None) == {}
