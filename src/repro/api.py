@@ -67,8 +67,8 @@ def run_function(
     Returns the integer result; with ``trace=True`` returns an
     :class:`repro.exec.interpreter.ExecutionResult` carrying the instruction
     and memory traces plus the simulated cycle count.  ``backend`` selects
-    the execution engine (``"interp"`` or ``"compiled"``; the default comes
-    from :func:`repro.exec.backend.default_backend`).
+    the execution engine (one of :data:`repro.exec.backend.BACKENDS`; the
+    default comes from :func:`repro.exec.backend.default_backend`).
     """
     from repro.exec.backend import make_executor
 

@@ -99,15 +99,11 @@ def outputs_match(
     transformed,
     entry: str,
     inputs: Sequence[Sequence[object]],
-    backend: Optional[str] = "interp",
+    backend: Optional[str] = None,
 ) -> bool:
-    """Same-signature output comparison (the artifact's pass/fail check).
-
-    Defaults to the interpreter backend: the check runs each module a
-    handful of times, so paying ``builtins.compile`` for the compiled
-    backend costs far more than it saves (the backends are differentially
-    tested equivalent).
-    """
+    """Same-signature output comparison (the artifact's pass/fail check),
+    on the default backend: under ``auto`` the handful of runs here are
+    interpreted, so the check pays no compilation."""
     from repro.exec import make_executor
 
     executor_a = make_executor(original, backend=backend, record_trace=False)

@@ -1,16 +1,23 @@
 """Backend selection: one knob choosing how IR modules are executed.
 
-Three backends share the same constructor signature and the same
+Four backends share the same constructor signature and the same
 :meth:`run` contract:
 
 * ``"interp"`` — :class:`repro.exec.interpreter.Interpreter`, the direct
   operational semantics of the paper's language.  Slow, obviously correct;
   this is the reference every other backend is tested against.
 * ``"compiled"`` — :class:`repro.exec.compiled.CompiledExecutor`, which
-  lowers each function once to generated Python source.  Roughly an order
-  of magnitude faster on the figure workloads; semantics are enforced to
-  be identical by the differential test suite
+  lowers each function to generated Python source at its first call.
+  Roughly an order of magnitude faster per run once compiled; semantics
+  are enforced to be identical by the differential test suite
   (``tests/integration/test_backend_equivalence.py``).
+* ``"auto"`` — the same class, tiered by use: each function is
+  interpreted until it has been called
+  :data:`~repro.exec.compiled.HOT_CALLS` times (counted per module and
+  option set, across executors) and compiled at the next call; a
+  function whose CFG has a cycle is compiled at its first call.  A module
+  run a handful of times — a build's output check, a Covenant 1 check, a
+  fuzz sample — never pays for compilation; one run many times does.
 * ``"batch"`` — :class:`repro.exec.batch.BatchExecutor`, the
   structure-of-arrays backend.  ``run`` delegates to the compiled backend;
   its extra ``run_batch(name, vectors)`` entry point executes many argument
@@ -19,7 +26,7 @@ Three backends share the same constructor signature and the same
   bit-identical to a scalar loop
   (``tests/integration/test_batch_equivalence.py``).
 
-The default is ``"compiled"``.  It can be overridden per call site (every
+The default is ``"auto"``.  It can be overridden per call site (every
 public entry point takes a ``backend=`` argument) or process-wide through
 the ``REPRO_BACKEND`` environment variable — handy for re-running any
 experiment on the reference semantics without touching code::
@@ -34,10 +41,11 @@ execution path does, with the full list of valid names
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.exec.batch import BatchExecutor
-from repro.exec.compiled import CompiledExecutor
+from repro.exec.compiled import HOT_CALLS, CompiledExecutor
 from repro.exec.costs import DEFAULT_COST_MODEL, CostModel
 from repro.exec.interpreter import (
     DEFAULT_MAX_CALL_DEPTH,
@@ -83,8 +91,9 @@ def make_executor(
 ):
     """Build an executor for ``module`` on the selected backend.
 
-    The returned object is either an :class:`Interpreter` or a
-    :class:`CompiledExecutor`; both expose ``run(name, args)`` returning an
+    The returned object is an :class:`Interpreter`, a
+    :class:`CompiledExecutor` or a :class:`BatchExecutor`; each exposes
+    ``run(name, args)`` returning an
     :class:`~repro.exec.interpreter.ExecutionResult`.
     """
     resolved = resolve_backend(backend)
@@ -105,6 +114,7 @@ def make_executor(
 _BACKEND_CLASSES = {
     "interp": Interpreter,
     "compiled": CompiledExecutor,
+    "auto": partial(CompiledExecutor, hot_calls=HOT_CALLS),
     "batch": BatchExecutor,
 }
 

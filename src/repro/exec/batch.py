@@ -53,7 +53,6 @@ from typing import Optional, Sequence
 from repro.exec.compiled import (
     _UNDEF,
     CompiledExecutor,
-    _ExecState,
     exec_cache_limit,
 )
 from repro.exec.costs import DEFAULT_COST_MODEL, CostModel
@@ -62,6 +61,7 @@ from repro.exec.interpreter import (
     DEFAULT_MAX_STEPS,
     ExecutionResult,
     InterpreterError,
+    _RunState,
 )
 from repro.exec.memory import Memory, Pointer
 from repro.exec.traces import InstructionSite, MemoryAccess, Trace
@@ -393,17 +393,15 @@ def _b_expr(expr, slots: dict, fname: str, np_mod):
 
 class _BCtx:
     __slots__ = (
-        "fname", "slots", "np", "nd", "record_trace", "module", "cost_model",
+        "fname", "slots", "np", "nd", "record_trace", "cost_model",
     )
 
-    def __init__(self, fname, slots, np_mod, record_trace, module,
-                 cost_model):
+    def __init__(self, fname, slots, np_mod, record_trace, cost_model):
         self.fname = fname
         self.slots = slots
         self.np = np_mod
         self.nd = np_mod.ndarray if np_mod is not None else None
         self.record_trace = record_trace
-        self.module = module
         self.cost_model = cost_model
 
 
@@ -663,18 +661,19 @@ def _b_call(instr: Call, ctx: _BCtx):
     d = ctx.slots[instr.dest] if instr.dest is not None else None
     nd = ctx.nd
     np_mod = ctx.np
-    module = ctx.module
     record_trace = ctx.record_trace
     cost_model = ctx.cost_model
 
     def op(bregs, bst, _accs=accs, _d=d, _callee=callee, _nd=nd, _np=np_mod):
         n = bst.nlanes
         scalar = bst.scalar
-        cf = scalar._compiled.functions.get(_callee)
+        cf = scalar._target(_callee)
         if cf is None:
             raise InterpreterError(f"call to undefined function @{_callee}")
+        # The module comes from the executor: a cached lowering that held
+        # it would keep its own cache entry alive.
         cbf = _get_batch_function(
-            module, _callee, record_trace, cost_model, _np
+            scalar.module, _callee, record_trace, cost_model, _np
         )
         if cbf.branch_free:
             # The common case (e.g. constant-time helpers): stay lock-step
@@ -784,7 +783,7 @@ def _compile_batch_function(
     bf.param_names = tuple(p.name for p in function.params)
     bf.has_calls = False
 
-    ctx = _BCtx(fname, slots, np_mod, record_trace, module, cost_model)
+    ctx = _BCtx(fname, slots, np_mod, record_trace, cost_model)
 
     labels = list(function.blocks)
     block_index = {label: i for i, label in enumerate(labels)}
@@ -959,12 +958,13 @@ def _cache_put(module, key, value) -> None:
             entry[1][key] = value
             _BATCH_CACHE.move_to_end(mid)
         else:
-
-            def _evict(_ref, _mid=mid):
-                with _BATCH_LOCK:
-                    stored = _BATCH_CACHE.get(_mid)
+            # The lock and the cache are bound as defaults: at interpreter
+            # exit this may run after the module globals are cleared.
+            def _evict(_ref, _mid=mid, _lock=_BATCH_LOCK, _cache=_BATCH_CACHE):
+                with _lock:
+                    stored = _cache.get(_mid)
                     if stored is not None and stored[0] is _ref:
-                        del _BATCH_CACHE[_mid]
+                        del _cache[_mid]
 
             ref = weakref.ref(module, _evict)
             _BATCH_CACHE[mid] = (ref, {key: value})
@@ -1114,8 +1114,8 @@ class _BatchState:
             else:
                 traces = [None] * self.nlanes
             self.lane_states = [
-                _ExecState(self.mems[lane], self.gptrs[lane], traces[lane],
-                           None, self.scalar)
+                _RunState(self.mems[lane], self.gptrs[lane], traces[lane],
+                          None, self.scalar)
                 for lane in range(self.nlanes)
             ]
         return self.lane_states

@@ -1,4 +1,4 @@
-"""Compiled execution backend: every function lowered once to Python source.
+"""Compiled execution backend: hot functions lowered once to Python source.
 
 The tree-walking :class:`repro.exec.interpreter.Interpreter` re-resolves
 every instruction on every dynamic step: an ``isinstance`` dispatch chain
@@ -7,9 +7,10 @@ over the instruction classes, a second chain over expression shapes, a
 figure benchmarks and the dudect-style leak hunts — thousands of executions
 per routine per input class — that dispatch dominates the run time.
 
-This backend translates each :class:`~repro.ir.function.Function` **once**
-into generated Python source — one ``def`` per basic block, all blocks of a
-function compiled together — and then runs the generated functions:
+This backend translates each :class:`~repro.ir.function.Function` **once**,
+when it gets hot, into generated Python source — one ``def`` per basic
+block, all blocks of a function compiled together — and then runs the
+generated functions:
 
 * every operand is resolved at compile time — constants become literals,
   variables become integer indices into a flat register file (a plain
@@ -46,11 +47,21 @@ for exact instruction-address parity).  The one deliberate divergence is
 backend checks the limit per block rather than per instruction, which is
 unobservable for any run that terminates normally.
 
-Compiled modules are kept in a process-wide cache keyed on **module
-identity** (not name) plus the options that affect code generation, so the
-six variants the benchmark harness builds per routine compile once and run
-many times.  Entries are evicted via weakref callbacks when a module is
-garbage collected; a rebuilt module (repair, optimize) is a new object and
+Until then a function is cold and the executor interprets it
+(:class:`CompiledExecutor` is an :class:`Interpreter`): each function has
+one call target that counts the calls finding it cold, and compiles it
+once the count passes the executor's ``hot_calls`` threshold — 0 for the
+``compiled`` backend, :data:`HOT_CALLS` for ``auto``.  A function whose
+CFG has a cycle is compiled at its first call, since a running frame
+never changes tier.  Interpreted and compiled frames call each other
+through ``state.executor._exec`` on one run state, so traces, cache
+fetches and step/cycle counts interleave exactly as in either tier alone.
+
+Call targets live in a process-wide cache keyed on **module identity**
+(not name) plus the options that affect code generation, so counts and
+compiled code are shared by every executor of a module and option set.
+Entries are evicted via weakref callbacks when a module is garbage
+collected; a rebuilt module (repair, optimize) is a new object and
 therefore never sees stale code.
 """
 
@@ -60,22 +71,20 @@ import functools
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Sequence
 
 from repro.exec.costs import DEFAULT_COST_MODEL, CostModel
 from repro.exec.interpreter import (
     DEFAULT_MAX_CALL_DEPTH,
     DEFAULT_MAX_STEPS,
-    ExecutionResult,
     Interpreter,
     InterpreterError,
     StepLimitExceeded,
     _Frame,
-    _layout_instructions,
     _RunState,
 )
-from repro.exec.memory import Memory, MemorySafetyViolation, Pointer
-from repro.exec.traces import InstructionSite, MemoryAccess, Trace
+from repro.exec.memory import MemorySafetyViolation
+from repro.exec.traces import InstructionSite, MemoryAccess
+from repro.ir.cfg import is_acyclic
 from repro.ir.function import Function
 from repro.ir.instructions import (
     Alloc,
@@ -434,24 +443,36 @@ class _CompiledBlock:
 
 
 class _CompiledFunction:
-    """Shell filled by :func:`_fill_function` (allows mutual recursion)."""
+    """One function of a compile-cache entry: the call target that
+    generated callers bind, cold (``blocks`` None, interpreted) until
+    :func:`_fill_function` fills it.  ``calls`` counts the calls that
+    found it cold; ``loops`` marks a CFG with a cycle, which is compiled
+    at its first call (a running frame never changes tier)."""
 
     __slots__ = (
-        "name", "nslots", "param_slots", "global_slots", "blocks",
-        "slot_names", "labels", "sites",
+        "name", "function", "calls", "loops", "nslots", "param_slots",
+        "global_slots", "blocks", "slot_names", "labels", "sites",
     )
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, function: Function):
+        self.name = function.name
+        self.function = function
+        self.calls = 0
+        try:
+            self.loops = not is_acyclic(function)
+        except (KeyError, ValueError):
+            # A jump to an undefined label, or no blocks: the run fails
+            # when it gets there, in either tier.
+            self.loops = False
         self.nslots = 0
         self.param_slots = ()
         self.global_slots = ()
-        self.blocks = ()
+        self.blocks = None
         self.slot_names = ()
         self.labels = ()
         self.sites = ()
 
-    def fail(self, exc: Exception, regs: list, state: "_ExecState",
+    def fail(self, exc: Exception, regs: list, state: _RunState,
              prev: int) -> None:
         """The guard of every generated block: raise the interpreter's
         error for the instruction whose line raised ``exc``."""
@@ -461,16 +482,16 @@ class _CompiledFunction:
         if site is None or (site[0] == "call" and not isinstance(exc, _Bail)):
             raise exc  # not an operand fault: e.g. the callee's own error
         kind, obj = site
-        executor = state.executor
-        module = executor.module
-        function = module.function(self.name)
-        interp = Interpreter(module, strict_memory=executor.strict_memory,
+        function = self.function
+        interp = Interpreter(state.executor.module,
+                             strict_memory=state.executor.strict_memory,
                              record_trace=False)
         frame = _Frame(function, {
             name: regs[slot] for name, slot in self.slot_names
             if regs[slot] is not _UNDEF
         })
-        run_state = _RunState(state.memory, state.global_pointers, None)
+        run_state = _RunState(state.memory, state.global_pointers, None, None,
+                              interp)
         try:
             if kind == "phis":
                 pred = self.labels[prev] if prev >= 0 else None
@@ -489,18 +510,21 @@ class _CompiledFunction:
 
 
 class CompiledModule:
-    """All functions of one module, compiled for one option set."""
+    """One compile-cache entry: a call target per function of one module,
+    for one option set, shared by every executor of the two."""
 
     __slots__ = ("module_name", "functions")
 
-    def __init__(self, module_name: str, functions: dict):
-        self.module_name = module_name
-        self.functions = functions
+    def __init__(self, module: Module):
+        self.module_name = module.name
+        self.functions = {
+            name: _CompiledFunction(function)
+            for name, function in module.functions.items()
+        }
 
 
 def _fill_function(
     shell: _CompiledFunction,
-    function: Function,
     module: Module,
     shells: dict,
     record_trace: bool,
@@ -508,6 +532,10 @@ def _fill_function(
     cost_model: CostModel,
     addresses: dict,
 ) -> None:
+    """Compile ``shell``'s function.  ``shell.blocks`` is assigned last:
+    other threads may call the shell meanwhile, and run it compiled only
+    once it is complete."""
+    function = shell.function
     fname = function.name
 
     # Slot allocation: globals first (the interpreter seeds the frame env
@@ -563,23 +591,6 @@ def _fill_function(
     shell.blocks = tuple(blocks)
 
 
-def compile_ir_module(
-    module: Module,
-    record_trace: bool = False,
-    cache_enabled: bool = False,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> CompiledModule:
-    """Compile every function of ``module`` (bypassing the compile cache)."""
-    addresses = _layout_instructions(module) if cache_enabled else {}
-    shells = {name: _CompiledFunction(name) for name in module.functions}
-    for name, function in module.functions.items():
-        _fill_function(
-            shells[name], function, module, shells,
-            record_trace, cache_enabled, cost_model, addresses,
-        )
-    return CompiledModule(module.name, shells)
-
-
 # -- module-level compile cache ----------------------------------------------
 
 def exec_cache_limit() -> int:
@@ -595,6 +606,10 @@ _CACHE_LOCK = threading.Lock()
 #: the entry count passes :func:`exec_cache_limit`).
 _COMPILE_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
 _CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
+#: Tier decisions since the last :func:`clear_compile_cache`.
+_TIER_STATS = {"compiled_functions": 0, "interpreted_calls": 0}
+#: Held while a function is filled, so each is compiled once.
+_FILL_LOCK = threading.Lock()
 
 
 def get_compiled(
@@ -603,51 +618,50 @@ def get_compiled(
     cache_enabled: bool,
     cost_model: CostModel,
 ) -> CompiledModule:
-    """Fetch (or build) the compiled form of ``module``.
+    """Fetch (or create) the compile-cache entry of ``module``.
 
-    The cache keys on **object identity**, not module name: repairing or
-    optimizing a module produces a new ``Module`` object and therefore a
-    fresh compilation, so stale code can never be served for a rebuilt
-    function of the same name.  Entries are evicted when the module is
-    garbage collected (weakref callback), and an ``id()`` that has been
-    recycled for a new module is detected by re-checking the weakref.
+    A new entry compiles nothing: each function is compiled when an
+    executor finds it hot (:meth:`CompiledExecutor._exec`).  The cache
+    keys on **object identity**, not module name: repairing or optimizing
+    a module produces a new ``Module`` object and therefore a fresh entry,
+    so stale code can never be served for a rebuilt function of the same
+    name.  Entries are evicted when the module is garbage collected
+    (weakref callback), and an ``id()`` that has been recycled for a new
+    module is detected by re-checking the weakref.
     """
     key = (bool(record_trace), bool(cache_enabled), cost_model)
     mid = id(module)
     with _CACHE_LOCK:
         entry = _COMPILE_CACHE.get(mid)
+        if entry is not None and entry[0]() is not module:
+            # The original module died and its id was recycled.
+            del _COMPILE_CACHE[mid]
+            entry = None
         if entry is not None:
-            ref, variants = entry
-            if ref() is module:
-                compiled = variants.get(key)
-                if compiled is not None:
-                    _COMPILE_CACHE.move_to_end(mid)
-                    _CACHE_STATS["hits"] += 1
-                    OBS.counter("exec.compile_cache.hits")
-                    return compiled
-            else:
-                # The original module died and its id was recycled.
-                del _COMPILE_CACHE[mid]
-                entry = None
+            compiled = entry[1].get(key)
+            if compiled is not None:
+                _COMPILE_CACHE.move_to_end(mid)
+                _CACHE_STATS["hits"] += 1
+                OBS.counter("exec.compile_cache.hits")
+                return compiled
     limit = exec_cache_limit()
-    with OBS.span("exec.compile", module=module.name):
-        compiled = compile_ir_module(
-            module, record_trace=key[0], cache_enabled=key[1], cost_model=cost_model
-        )
+    compiled = CompiledModule(module)
     OBS.counter("exec.compile_cache.misses")
     with _CACHE_LOCK:
         _CACHE_STATS["misses"] += 1
         entry = _COMPILE_CACHE.get(mid)
         if entry is not None and entry[0]() is module:
-            entry[1][key] = compiled
+            compiled = entry[1].setdefault(key, compiled)
             _COMPILE_CACHE.move_to_end(mid)
         else:
-
-            def _evict(_ref, _mid=mid):
-                with _CACHE_LOCK:
-                    stored = _COMPILE_CACHE.get(_mid)
+            # The lock and the cache are bound as defaults: at interpreter
+            # exit this may run after the module globals are cleared.
+            def _evict(_ref, _mid=mid, _lock=_CACHE_LOCK,
+                       _cache=_COMPILE_CACHE):
+                with _lock:
+                    stored = _cache.get(_mid)
                     if stored is not None and stored[0] is _ref:
-                        del _COMPILE_CACHE[_mid]
+                        del _cache[_mid]
 
             ref = weakref.ref(module, _evict)
             _COMPILE_CACHE[mid] = (ref, {key: compiled})
@@ -662,9 +676,9 @@ def clear_compile_cache() -> None:
     """Drop every cached compilation (mainly for tests)."""
     with _CACHE_LOCK:
         _COMPILE_CACHE.clear()
-        _CACHE_STATS["hits"] = 0
-        _CACHE_STATS["misses"] = 0
-        _CACHE_STATS["evictions"] = 0
+        for stats in (_CACHE_STATS, _TIER_STATS):
+            for name in stats:
+                stats[name] = 0
 
 
 def compile_cache_stats() -> dict:
@@ -678,33 +692,35 @@ def compile_cache_stats() -> dict:
         }
 
 
+def tier_stats() -> dict:
+    """Tier decisions: functions compiled and calls interpreted, plus the
+    ``auto`` threshold."""
+    with _CACHE_LOCK:
+        return {"hot_calls": HOT_CALLS, **_TIER_STATS}
+
 
 # -- execution ---------------------------------------------------------------
 
-class _ExecState:
-    __slots__ = (
-        "memory", "regions", "global_pointers", "trace", "cache", "executor",
-        "cycles", "steps", "ret",
-    )
-
-    def __init__(self, memory, global_pointers, trace, cache, executor):
-        self.memory = memory
-        self.regions = memory.regions
-        self.global_pointers = global_pointers
-        self.trace = trace
-        self.cache = cache
-        self.executor = executor
-        self.cycles = 0
-        self.steps = 0
-        self.ret = 0
+#: Calls a function is interpreted for under the ``auto`` backend before it
+#: is compiled at the next call.  Measured on the suite at -O1, compiling a
+#: module costs as much as interpreting it 15 times (median) or 4.9 times
+#: (all compile cost over all per-run saving); 8 sits between the two
+#: (docs/BACKENDS.md).
+HOT_CALLS = 8
 
 
-class CompiledExecutor:
+class CompiledExecutor(Interpreter):
     """Drop-in replacement for :class:`~repro.exec.interpreter.Interpreter`.
 
-    Same constructor signature, same :meth:`run` contract, same observable
-    semantics; execution runs through source generated once per module
-    (shared process-wide through the compile cache).
+    Same constructor signature (plus ``hot_calls``), same :meth:`run`
+    contract, same observable semantics.  A function is interpreted — by
+    the inherited :meth:`Interpreter._call`, on the same run state —
+    until the calls that found it cold pass ``hot_calls``; the next call
+    compiles it (shared process-wide through the compile cache, which
+    also keeps the count) and every later call runs the generated code.
+    ``hot_calls=0`` is the ``compiled`` backend (each function compiled at
+    its first call), :data:`HOT_CALLS` the ``auto`` backend.  A function
+    with a CFG cycle is compiled at its first call either way.
     """
 
     def __init__(
@@ -716,84 +732,56 @@ class CompiledExecutor:
         cache=None,
         max_steps: int = DEFAULT_MAX_STEPS,
         max_call_depth: int = DEFAULT_MAX_CALL_DEPTH,
+        hot_calls: int = 0,
     ) -> None:
-        self.module = module
-        self.strict_memory = strict_memory
-        self.record_trace = record_trace
-        self.cost_model = cost_model
-        self.cache = cache
-        self.max_steps = max_steps
-        self.max_call_depth = max_call_depth
+        super().__init__(module, strict_memory, record_trace, cost_model,
+                         cache, max_steps, max_call_depth)
+        self.hot_calls = hot_calls
         self._compiled = get_compiled(
             module, record_trace, cache is not None, cost_model
         )
 
-    # -- public API ----------------------------------------------------------
+    # The class's own attribute (not only inherited), so instrumentation
+    # can wrap ``CompiledExecutor.run`` apart from ``Interpreter.run``.
+    run = Interpreter.run
 
-    def run(self, name: str, args: Sequence[object]) -> ExecutionResult:
-        """Execute ``@name`` on the given arguments (interpreter-compatible)."""
-        function = self.module.function(name)
-        if len(args) != len(function.params):
-            raise InterpreterError(
-                f"@{name} expects {len(function.params)} arguments, "
-                f"got {len(args)}"
-            )
-        compiled_function = self._compiled.functions[name]
+    def _target(self, name: str):
+        return self._compiled.functions.get(name)
 
-        memory = Memory(strict=self.strict_memory)
-        global_pointers: dict[str, Pointer] = {}
-        for array in self.module.globals.values():
-            global_pointers[array.name] = memory.allocate(
-                f"@{array.name}", array.size, array.initial_contents()
-            )
-
-        trace = Trace() if self.record_trace else None
-        state = _ExecState(memory, global_pointers, trace, self.cache, self)
-
-        runtime_args: list["int | Pointer"] = []
-        array_pointers: list["Pointer | None"] = []
-        for param, arg in zip(function.params, args):
-            if isinstance(arg, list):
-                pointer = memory.allocate(
-                    f"arg:{param.name}", len(arg), list(arg)
-                )
-                runtime_args.append(pointer)
-                array_pointers.append(pointer)
-            elif isinstance(arg, Pointer):
-                runtime_args.append(arg)
-                array_pointers.append(arg)
-            elif isinstance(arg, int):
-                runtime_args.append(wrap(arg))
-                array_pointers.append(None)
-            else:
-                raise InterpreterError(
-                    f"unsupported argument {arg!r} for parameter {param.name}"
-                )
-
-        value = self._exec(compiled_function, runtime_args, state, 0)
-
-        arrays = [
-            memory.snapshot(p) if p is not None else None
-            for p in array_pointers
-        ]
-        global_state = {
-            array_name: memory.snapshot(pointer)
-            for array_name, pointer in global_pointers.items()
-        }
-        return ExecutionResult(
-            value=value,
-            cycles=state.cycles,
-            steps=state.steps,
-            trace=trace,
-            violations=list(memory.violations),
-            arrays=arrays,
-            global_state=global_state,
-        )
+    def _tier_up(self, cf: _CompiledFunction):
+        """Count a call to cold ``cf``: its blocks once it is hot (compiled
+        now if need be), or None to interpret this call."""
+        with _CACHE_LOCK:
+            cf.calls += 1
+            cold = cf.calls <= self.hot_calls and not cf.loops
+            if cold:
+                _TIER_STATS["interpreted_calls"] += 1
+        if cold:
+            OBS.counter("exec.tier.interpreted")
+            return None
+        with _FILL_LOCK:
+            if cf.blocks is None:
+                with OBS.span("exec.compile", module=self.module.name,
+                              function=cf.name):
+                    _fill_function(
+                        cf, self.module, self._compiled.functions,
+                        self.record_trace, self.cache is not None,
+                        self.cost_model, self._instr_addresses,
+                    )
+                with _CACHE_LOCK:
+                    _TIER_STATS["compiled_functions"] += 1
+                OBS.counter("exec.tier.compiled")
+        return cf.blocks
 
     # -- hot loop ------------------------------------------------------------
 
-    def _exec(self, cf: _CompiledFunction, args, state: _ExecState,
+    def _exec(self, cf: _CompiledFunction, args, state: _RunState,
               depth: int) -> int:
+        blocks = cf.blocks
+        if blocks is None:
+            blocks = self._tier_up(cf)
+            if blocks is None:
+                return self._call(cf.function, args, state, depth)
         if depth > self.max_call_depth:
             raise InterpreterError(
                 f"call depth exceeded at @{cf.name} (recursive program?)"
@@ -806,7 +794,6 @@ class CompiledExecutor:
         for slot, value in zip(cf.param_slots, args):
             regs[slot] = value
 
-        blocks = cf.blocks
         max_steps = self.max_steps
         bi = 0
         prev = -1

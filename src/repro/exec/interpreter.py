@@ -128,7 +128,9 @@ class Interpreter:
         self.cache = cache
         self.max_steps = max_steps
         self.max_call_depth = max_call_depth
-        self._instr_addresses = _layout_instructions(module) if cache else {}
+        self._instr_addresses = (
+            _layout_instructions(module) if cache is not None else {}
+        )
         #: True when per-instruction observation (traces or cache simulation)
         #: is required; when false the timing path skips that bookkeeping.
         self._observing = record_trace or cache is not None
@@ -156,7 +158,7 @@ class Interpreter:
             )
 
         trace = Trace() if self.record_trace else None
-        state = _RunState(memory, global_pointers, trace)
+        state = _RunState(memory, global_pointers, trace, self.cache, self)
 
         runtime_args: list["int | Pointer"] = []
         array_pointers: list[Optional[Pointer]] = []
@@ -176,7 +178,7 @@ class Interpreter:
                     f"unsupported argument {arg!r} for parameter {param.name}"
                 )
 
-        value = self._call(function, runtime_args, state, depth=0)
+        value = self._exec(self._target(name), runtime_args, state, 0)
 
         arrays = [
             memory.snapshot(p) if p is not None else None for p in array_pointers
@@ -194,6 +196,11 @@ class Interpreter:
             arrays=arrays,
             global_state=global_state,
         )
+
+    def _target(self, name: str):
+        """What :meth:`_exec` runs for a call to ``@name`` (None if the
+        module has no such function)."""
+        return self.module.functions.get(name)
 
     # -- execution engine ------------------------------------------------------
 
@@ -239,6 +246,10 @@ class Interpreter:
                 return successor
             previous_label = block.label
             block = successor
+
+    #: Runs a call target: here every function is interpreted; the
+    #: compiled backend overrides this to run hot functions compiled.
+    _exec = _call
 
     def _terminate(self, function: Function, terminator, frame: _Frame):
         """Evaluate a terminator: the successor block, or the returned word."""
@@ -321,15 +332,15 @@ class Interpreter:
             )
         elif isinstance(instr, Call):
             callee, arg_values = self._call_args(instr, frame)
-            result = self._call(callee, arg_values, state, depth + 1)
+            result = self._exec(callee, arg_values, state, depth + 1)
             if instr.dest is not None:
                 frame.env[instr.dest] = result
         else:
             raise InterpreterError(f"unknown instruction {instr}")
 
     def _call_args(self, instr: Call, frame: _Frame):
-        """Resolve a call's callee and evaluate its arguments."""
-        callee = self.module.functions.get(instr.callee)
+        """Resolve a call's target and evaluate its arguments."""
+        callee = self._target(instr.callee)
         if callee is None:
             raise InterpreterError(f"call to undefined function @{instr.callee}")
         return callee, [self._eval_value(a, frame) for a in instr.args]
@@ -412,16 +423,26 @@ class Interpreter:
                 state.cycles += self.cost_model.cache_miss_penalty
 
 
-@dataclass
 class _RunState:
-    memory: Memory
-    global_pointers: dict[str, Pointer]
-    trace: Optional[Trace]
-    cycles: int = 0
-    steps: int = 0
+    """Everything one :meth:`Interpreter.run` mutates, shared by every
+    frame of the run whichever tier executes it."""
 
-    def __post_init__(self) -> None:
-        pass
+    __slots__ = (
+        "memory", "regions", "global_pointers", "trace", "cache", "executor",
+        "cycles", "steps", "ret",
+    )
+
+    def __init__(self, memory: Memory, global_pointers: dict[str, Pointer],
+                 trace: Optional[Trace], cache, executor) -> None:
+        self.memory = memory
+        self.regions = memory.regions
+        self.global_pointers = global_pointers
+        self.trace = trace
+        self.cache = cache
+        self.executor = executor
+        self.cycles = 0
+        self.steps = 0
+        self.ret = 0
 
 
 def _layout_instructions(module: Module) -> dict[tuple[str, str, int], int]:

@@ -74,13 +74,14 @@ def branch_edge_keys(
     module,
     entry: str,
     vectors: Sequence[Sequence[object]],
-    backend: str = "compiled",
+    backend: str = "auto",
 ) -> set:
     """Block-transition edges of ``module`` traced over ``vectors``.
 
-    The backend is pinned (default ``compiled``) rather than read from
-    ``REPRO_BACKEND``: all backends produce identical traces, but pinning
-    keeps the per-sample cost independent of the environment.
+    The backend is pinned (default ``auto``: a sample runs too few times
+    to repay compilation) rather than read from ``REPRO_BACKEND``: all
+    backends produce identical traces, but pinning keeps the per-sample
+    cost independent of the environment.
     """
     from repro.exec.backend import make_executor, run_many
 

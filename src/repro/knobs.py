@@ -75,9 +75,9 @@ class Knob:
 
 
 _ROWS = (
-    Knob("REPRO_BACKEND", "choice", "compiled",
+    Knob("REPRO_BACKEND", "choice", "auto",
          "execution engine for every dynamic measurement",
-         choices=("interp", "compiled", "batch")),
+         choices=("auto", "interp", "compiled", "batch")),
     Knob("REPRO_BATCH_SIZE", "int", 256,
          "lanes per lock-step chunk on the batch backend", low=1),
     Knob("REPRO_BATCH_NUMPY", "flag", True,

@@ -53,8 +53,13 @@ from repro.serve.protocol import (
     job_key,
 )
 from repro.serve.ring import HashRing
-from repro.serve.router import RouterServer, Shard, ShardSupervisor
-from repro.serve.server import RepairServer, ServeConfig
+from repro.serve.router import (
+    RouterServer,
+    RouterThread,
+    Shard,
+    ShardSupervisor,
+)
+from repro.serve.server import RepairServer, ServeConfig, ServerThread
 
 __all__ = [
     "JOB_KINDS",
@@ -66,8 +71,10 @@ __all__ = [
     "RepairServer",
     "ResultCache",
     "RouterServer",
+    "RouterThread",
     "ServeClient",
     "ServeConfig",
+    "ServerThread",
     "Shard",
     "ShardSupervisor",
     "WarmPool",

@@ -306,7 +306,12 @@ class ServiceThread:
 
     def request_drain(self) -> None:
         if self.loop is not None and self._thread.is_alive():
-            self.loop.call_soon_threadsafe(self._drain)
+            try:
+                self.loop.call_soon_threadsafe(self._drain)
+            except RuntimeError:
+                # The loop closed after the liveness check: the service
+                # stopped on its own (say, drained by the router).
+                pass
 
     def _drain(self) -> None:
         # A service already draining (say, a shard the router shut down)

@@ -243,3 +243,15 @@ def test_sharded_cli_gives_each_shard_its_own_journal(isolated_cache):
                 router.kill()
                 router.wait(timeout=30)
         router.stderr.close()
+
+
+def test_drain_request_after_the_service_stopped(isolated_cache,
+                                                 monkeypatch):
+    """A shard the router already drained may close its loop just before
+    its thread exits; a drain requested in that window is a no-op."""
+    backend = ServerThread(ServeConfig.from_env(port=0, workers=0)).start()
+    backend.request_drain()
+    backend.join()
+    assert backend.loop.is_closed()
+    monkeypatch.setattr(backend._thread, "is_alive", lambda: True)
+    backend.request_drain()

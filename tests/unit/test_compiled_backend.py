@@ -5,20 +5,24 @@ just the same results but the same *failures* — exception type and message
 — because downstream tooling (the verifiers, the CLI) matches on them.
 ``run_both`` and ``error_both`` check every case under each option set the
 compiled backend generates different code for: no trace, trace recording,
-and cache-hierarchy simulation.
+and cache-hierarchy simulation; and on both the ``compiled`` backend and
+the ``auto`` backend, run until its functions have tiered up.
 """
 
 import pytest
 
 from repro.cache import CacheHierarchy
 from repro.exec import (
+    HOT_CALLS,
     CompiledExecutor,
     Interpreter,
     InterpreterError,
     MemorySafetyViolation,
     StepLimitExceeded,
+    clear_compile_cache,
     make_executor,
     resolve_backend,
+    tier_stats,
 )
 from repro.ir import parse_module
 
@@ -40,42 +44,61 @@ def run(text: str, name: str, args, **kwargs):
     return CompiledExecutor(parse_module(text), **kwargs).run(name, args)
 
 
+def _tiered_runs(module, option_set: str, kwargs: dict):
+    """Executors to compare with the interpreter: ``compiled`` once, and
+    ``auto`` HOT_CALLS + 2 times on a fresh compile-cache entry, so its
+    runs go interpreted, then mixed, then compiled."""
+    clear_compile_cache()
+    yield "compiled", CompiledExecutor(module, **_options(option_set, kwargs))
+    clear_compile_cache()
+    for run_index in range(HOT_CALLS + 2):
+        yield f"auto#{run_index}", make_executor(
+            module, backend="auto", **_options(option_set, kwargs))
+
+
 def run_both(text: str, name: str, args, **kwargs):
-    """Run under both backends in every option set; assert identical
-    observations; return the compiled result of the last set."""
+    """Run under the interpreter, ``compiled`` and ``auto`` in every option
+    set; assert identical observations; return the ``compiled`` result of
+    the last set."""
     module = parse_module(text)
     for option_set in OPTION_SETS:
         ref = Interpreter(module, **_options(option_set, kwargs)).run(
             name, list(args))
-        got = CompiledExecutor(module, **_options(option_set, kwargs)).run(
-            name, list(args))
-        assert got.value == ref.value, option_set
-        assert got.cycles == ref.cycles, option_set
-        assert got.steps == ref.steps, option_set
-        assert got.arrays == ref.arrays, option_set
-        assert got.global_state == ref.global_state, option_set
-        assert [str(v) for v in got.violations] == [
-            str(v) for v in ref.violations], option_set
-        if ref.trace is not None:
-            assert got.trace.instructions == ref.trace.instructions
-            assert got.trace.memory == ref.trace.memory
-    return got
+        for label, executor in _tiered_runs(module, option_set, kwargs):
+            where = (option_set, label)
+            got = executor.run(name, list(args))
+            assert got.value == ref.value, where
+            assert got.cycles == ref.cycles, where
+            assert got.steps == ref.steps, where
+            assert got.arrays == ref.arrays, where
+            assert got.global_state == ref.global_state, where
+            assert [str(v) for v in got.violations] == [
+                str(v) for v in ref.violations], where
+            if ref.trace is not None:
+                assert got.trace.instructions == ref.trace.instructions, where
+                assert got.trace.memory == ref.trace.memory, where
+            if label == "compiled":
+                compiled = got
+    return compiled
 
 
 def error_both(text: str, name: str, args, **kwargs):
-    """Both backends must raise the same exception type and message, in
-    every option set."""
+    """The interpreter, ``compiled`` and ``auto`` must raise the same
+    exception type and message, in every option set."""
     module = parse_module(text)
     for option_set in OPTION_SETS:
         with pytest.raises(Exception) as ref_info:
             Interpreter(module, **_options(option_set, kwargs)).run(
                 name, list(args))
-        with pytest.raises(Exception) as got_info:
-            CompiledExecutor(module, **_options(option_set, kwargs)).run(
-                name, list(args))
-        assert type(got_info.value) is type(ref_info.value), option_set
-        assert str(got_info.value) == str(ref_info.value), option_set
-    return got_info
+        for label, executor in _tiered_runs(module, option_set, kwargs):
+            with pytest.raises(Exception) as got_info:
+                executor.run(name, list(args))
+            where = (option_set, label)
+            assert type(got_info.value) is type(ref_info.value), where
+            assert str(got_info.value) == str(ref_info.value), where
+            if label == "compiled":
+                compiled_info = got_info
+    return compiled_info
 
 
 class TestSemantics:
@@ -574,3 +597,167 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_BACKEND", "turbo")
         with pytest.raises(ValueError):
             resolve_backend(None)
+
+    def test_default_is_auto(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        module = parse_module("func @f() { entry: ret 1 }")
+        assert resolve_backend(None) == "auto"
+        assert make_executor(module).hot_calls == HOT_CALLS
+        assert make_executor(module, backend="compiled").hot_calls == 0
+        assert make_executor(module, backend="auto").hot_calls == HOT_CALLS
+
+
+LOOP = """
+func @f(n: int) {
+entry:
+  jmp head
+head:
+  i = phi [0, entry], [i2, head]
+  i2 = mov i + 1
+  c = mov i2 < n
+  br c, head, done
+done:
+  ret i2
+}
+"""
+
+#: ``f`` calls ``g`` always and ``k`` only when ``a`` is nonzero; ``h``
+#: is never called.
+CALLS = """
+func @g(a: int) { entry: y = mov a * 3 ret y }
+func @k(a: int) { entry: y = mov a - 1 ret y }
+func @h(a: int) { entry: ret a }
+func @f(a: int) {
+entry:
+  x = call @g(a)
+  br a, more, done
+more:
+  z = call @k(x)
+  jmp done
+done:
+  r = phi [x, entry], [z, more]
+  ret r
+}
+func @f2(a: int) { entry: x = call @g(a) ret x }
+"""
+
+
+def _auto(module, **options):
+    return make_executor(module, backend="auto", **options)
+
+
+def _shells(module, backend="auto", **options):
+    """The call targets of ``module``'s compile-cache entry."""
+    return make_executor(module, backend=backend,
+                         **options)._compiled.functions
+
+
+class TestTiers:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        clear_compile_cache()
+        yield
+        clear_compile_cache()
+
+    def test_function_compiles_after_hot_calls(self):
+        module = parse_module("func @f(a: int) { entry: x = mov a + 1 ret x }")
+        for run_index in range(HOT_CALLS):
+            # A fresh executor each time: the count lives in the cache entry.
+            assert _auto(module).run("f", [run_index]).value == run_index + 1
+        assert _shells(module)["f"].blocks is None
+        assert tier_stats()["interpreted_calls"] == HOT_CALLS
+        assert _auto(module).run("f", [5]).value == 6
+        assert _shells(module)["f"].blocks is not None
+        assert tier_stats()["compiled_functions"] == 1
+
+    def test_option_sets_count_separately(self):
+        module = parse_module("func @f() { entry: ret 1 }")
+        for _ in range(HOT_CALLS + 1):
+            _auto(module, record_trace=False).run("f", [])
+        assert _shells(module)["f"].blocks is None  # record_trace=True entry
+        assert _shells(module, record_trace=False)["f"].blocks is not None
+
+    def test_looping_function_compiles_at_first_call(self):
+        module = parse_module(LOOP)
+        assert _auto(module).run("f", [5]).value == 5
+        assert _shells(module)["f"].blocks is not None
+        assert tier_stats() == {
+            "hot_calls": HOT_CALLS, "compiled_functions": 1,
+            "interpreted_calls": 0,
+        }
+
+    def test_step_limit_of_looping_function(self):
+        module = parse_module(LOOP)
+        with pytest.raises(StepLimitExceeded) as ref:
+            Interpreter(module, max_steps=100).run("f", [1000])
+        with pytest.raises(StepLimitExceeded) as got:
+            _auto(module, max_steps=100).run("f", [1000])
+        assert str(got.value) == str(ref.value)
+        assert tier_stats()["interpreted_calls"] == 0
+
+    def test_entry_compiles_only_called_functions(self):
+        module = parse_module(CALLS)
+        assert make_executor(module, backend="compiled").run(
+            "f", [0]).value == 0
+        shells = _shells(module, backend="compiled")
+        assert {name for name, shell in shells.items()
+                if shell.blocks is not None} == {"f", "g"}
+        assert tier_stats()["compiled_functions"] == 2
+        assert make_executor(module, backend="compiled").run(
+            "f", [2]).value == 5
+        assert {name for name, shell in shells.items()
+                if shell.blocks is None} == {"h", "f2"}
+
+    @pytest.mark.parametrize("option_set", OPTION_SETS)
+    def test_calls_across_tiers(self, option_set):
+        """Interpreted callers of compiled callees and compiled callers of
+        interpreted callees, against the interpreter on every run."""
+        module = parse_module(CALLS)
+        runs = [("f", [0])] * (HOT_CALLS + 1)  # f and g hot, k cold
+        runs += [("f", [4]), ("f2", [7])]  # compiled f -> cold k; cold f2 -> g
+        for name, args in runs:
+            ref = Interpreter(module, **_options(option_set, {})).run(
+                name, list(args))
+            got = _auto(module, **_options(option_set, {})).run(
+                name, list(args))
+            assert (got.value, got.cycles, got.steps) == (
+                ref.value, ref.cycles, ref.steps)
+            if ref.trace is not None:
+                assert got.trace.instructions == ref.trace.instructions
+        shells = _shells(module)
+        if option_set == "trace":
+            assert shells["f"].blocks and shells["g"].blocks
+            assert shells["k"].blocks is None and shells["f2"].blocks is None
+
+    def test_concurrent_tier_up(self):
+        import sys
+        import threading
+
+        module = parse_module(CALLS)
+        expected = [Interpreter(module).run("f", [a]).value for a in range(4)]
+        failures = []
+
+        def worker():
+            for _ in range(3 * HOT_CALLS):
+                got = [_auto(module).run("f", [a]).value for a in range(4)]
+                if got != expected:
+                    failures.append(got)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        # f, g and k are each interpreted exactly HOT_CALLS times and
+        # compiled once: a lost count update would interpret one more.
+        assert tier_stats() == {
+            "hot_calls": HOT_CALLS, "compiled_functions": 3,
+            "interpreted_calls": 3 * HOT_CALLS,
+        }

@@ -1,16 +1,19 @@
 """The documentation stays wired to reality.
 
-Two easy-to-rot reference classes are checked mechanically: every
+Three easy-to-rot reference classes are checked mechanically: every
 relative link in the ``docs/`` book (and the README) must resolve to a
-file in the repository, and the EXPERIMENTS.md knob table must match
-the program's knob table (:data:`repro.knobs.KNOBS`) both ways, by name
-and by default, while each harness-only knob it documents must be read
-under ``benchmarks/`` — a renamed, dropped or re-defaulted knob or a
-moved page fails here instead of misleading a reader.
+file in the repository, every ``from repro… import …`` line of a fenced
+Python block in ``docs/`` must import, and the EXPERIMENTS.md knob table
+must match the program's knob table (:data:`repro.knobs.KNOBS`) both
+ways, by name and by default, while each harness-only knob it documents
+must be read under ``benchmarks/`` — a renamed, dropped or re-defaulted
+knob, a moved page or an unexported name fails here instead of
+misleading a reader.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -22,6 +25,11 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _KNOB_ROW = re.compile(
     r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|([^|]*)\|", re.MULTILINE
 )
+_PYTHON_BLOCK = re.compile(r"^\s*```python\n(.*?)^\s*```", re.MULTILINE | re.DOTALL)
+_REPRO_IMPORT = re.compile(
+    r"^\s*from\s+(repro(?:\.\w+)*)\s+import\s+([\w\s,]+?)\s*(?:#.*)?$",
+    re.MULTILINE,
+)
 #: Knobs of the benchmark harnesses, not of the program.
 _HARNESS_ONLY = re.compile(r"REPRO_SOAK_|REPRO_BENCH_REPS$")
 
@@ -30,6 +38,23 @@ def _doc_pages():
     pages = sorted((REPO / "docs").glob("*.md"))
     assert pages, "docs/ book missing"
     return [REPO / "README.md"] + pages
+
+
+def test_docs_python_imports_resolve():
+    checked, broken = 0, []
+    for page in sorted((REPO / "docs").glob("*.md")):
+        for block in _PYTHON_BLOCK.findall(page.read_text()):
+            for module_name, names in _REPRO_IMPORT.findall(block):
+                module = importlib.import_module(module_name)
+                for name in names.split(","):
+                    checked += 1
+                    if not hasattr(module, name.strip()):
+                        broken.append(
+                            f"{page.name}: from {module_name} import "
+                            f"{name.strip()}"
+                        )
+    assert checked, "no repro imports found in the docs' Python blocks"
+    assert not broken, f"documented imports that fail: {broken}"
 
 
 def test_docs_relative_links_resolve():

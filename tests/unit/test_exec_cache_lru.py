@@ -12,6 +12,7 @@ serve layer reports, and a bad bound is refused rather than replaced.
 import pytest
 
 from repro.exec import (
+    HOT_CALLS,
     batch_cache_stats,
     clear_batch_caches,
     clear_compile_cache,
@@ -133,9 +134,68 @@ def test_batch_caches_are_bounded(monkeypatch):
     assert stats["evictions"] >= 2
 
 
+def test_batch_lowering_with_calls_releases_its_module():
+    import gc
+
+    module = parse_module(
+        "func @g(a: int) { entry: y = mov a * 2 ret y }\n"
+        "func @f(a: int) { entry: x = call @g(a) ret x }"
+    )
+    results = run_many(make_executor(module, backend="batch"), "f",
+                       [[1], [2], [3]])
+    assert [result.value for result in results] == [2, 4, 6]
+    assert batch_cache_stats()["entries"] == 1
+    del module, results
+    gc.collect()
+    assert batch_cache_stats()["entries"] == 0
+    assert compile_cache_stats()["entries"] == 0
+
+
 def test_executor_cache_stats_shape():
     stats = executor_cache_stats()
-    assert set(stats) == {"limit", "compile", "batch"}
+    assert set(stats) == {"limit", "compile", "batch", "tier"}
     for name in ("compile", "batch"):
         assert set(stats[name]) == {"hits", "misses", "evictions", "entries"}
+    assert stats["tier"] == {
+        "hot_calls": HOT_CALLS, "compiled_functions": 0,
+        "interpreted_calls": 0,
+    }
     assert stats["limit"] == exec_cache_limit()
+
+
+# Fills both identity-keyed caches, then does what interpreter exit does
+# before late garbage dies: the module globals (here the two cache locks)
+# become None, and only then are the cached modules released.
+_SHUTDOWN_SCRIPT = """
+import gc
+from repro.exec import batch, compiled, make_executor, run_many
+from repro.ir import parse_module
+
+modules = [parse_module(TEXT, name=f"m{index}") for index in range(3)]
+for module in modules:
+    make_executor(module, backend="compiled").run("add", [1, 2])
+    run_many(make_executor(module, backend="batch"), "add", [[1, 2], [3, 4]])
+    make_executor(module, backend="batch").run("add", [5, 6])
+assert compiled.compile_cache_stats()["entries"] == 3
+assert batch.batch_cache_stats()["entries"] == 3
+compiled._CACHE_LOCK = None
+batch._BATCH_LOCK = None
+del module, modules
+gc.collect()
+"""
+
+
+def test_cache_evictors_survive_interpreter_exit():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", f"TEXT = {ADD_IR!r}\n" + _SHUTDOWN_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
